@@ -11,6 +11,7 @@
 #include "core/forward_push.h"
 #include "core/monte_carlo.h"
 #include "core/pagerank.h"
+#include "datasets/catalog.h"
 #include "datasets/generators.h"
 
 namespace cyclerank {
@@ -103,6 +104,33 @@ void BM_PPR_MonteCarlo_ThreadSweep(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(options.num_threads);
 }
 BENCHMARK(BM_PPR_MonteCarlo_ThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_PPR_MonteCarlo_Catalog(benchmark::State& state) {
+  // The kernel as the end-to-end compare_cold workload runs it: on its
+  // three catalog datasets, 100k walks, one kernel thread. Arg 0 picks the
+  // dataset, arg 1 the estimator (0 = visit frequency, 1 = endpoint).
+  static const char* const kDatasets[] = {"amazon-copurchase", "er-1k",
+                                          "wikilink-en-2018"};
+  const char* dataset = kDatasets[state.range(0)];
+  const GraphPtr g = DatasetCatalog::BuiltIn().Load(dataset).value();
+  MonteCarloOptions options;
+  options.num_walks = 100000;
+  options.seed = 5;
+  options.estimator = state.range(1) == 0
+                          ? MonteCarloEstimator::kVisitFrequency
+                          : MonteCarloEstimator::kEndpoint;
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    auto result = ComputeMonteCarloPpr(*g, 0, options);
+    steps = result->total_steps;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetLabel(dataset);
+  state.counters["steps"] = static_cast<double>(steps);
+}
+BENCHMARK(BM_PPR_MonteCarlo_Catalog)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cyclerank

@@ -22,33 +22,48 @@ struct WalkWorkspace {
 /// the estimate is reproducible at any thread count.
 constexpr uint64_t kWalksPerShard = 16384;
 
-void RunWalkShard(const Graph& g, NodeId reference,
-                  const MonteCarloOptions& options, uint64_t num_walks,
-                  Rng rng, WalkWorkspace* ws) {
+/// One node's out-row, packed so a walk step makes one load: `targets`
+/// points at the node's sorted successors in the graph's CSR array.
+/// A pointer rather than a 32-bit offset keeps graphs with >= 2^32 edges
+/// correct.
+struct WalkRow {
+  const NodeId* targets;
+  uint32_t degree;
+};
+
+/// Each walk step draws the α test and then, on a non-dangling node, the
+/// successor — the same draws in the same order as `NextBool(alpha)` and
+/// `NextBounded(out_degree)`, so every output bit matches those calls.
+template <MonteCarloEstimator kEstimator>
+void RunWalkShard(const std::vector<WalkRow>& rows, NodeId reference,
+                  uint64_t continue_below, uint32_t max_walk_length,
+                  uint64_t num_walks, Rng rng, WalkWorkspace* ws) {
+  constexpr bool kCountVisits =
+      kEstimator == MonteCarloEstimator::kVisitFrequency;
+  uint64_t* counts = ws->counts.data();
+  uint64_t steps = 0;
   for (uint64_t w = 0; w < num_walks; ++w) {
     NodeId u = reference;
     uint32_t length = 0;
     while (true) {
-      if (options.estimator == MonteCarloEstimator::kVisitFrequency) {
-        ++ws->counts[u];
-        ++ws->steps;
+      if constexpr (kCountVisits) {
+        ++counts[u];
+        ++steps;
       }
-      if (length >= options.max_walk_length) break;
-      if (!rng.NextBool(options.alpha)) break;  // teleport: walk ends
-      const auto row = g.OutNeighbors(u);
-      if (row.empty()) {
-        // Dangling: jump home and continue (same rule as power iteration).
-        u = reference;
-      } else {
-        u = row[rng.NextBounded(row.size())];
-      }
+      if (length >= max_walk_length) break;
+      if (!rng.NextBelow(continue_below)) break;  // teleport: walk ends
+      const WalkRow row = rows[u];
+      // Dangling: jump home and continue (same rule as power iteration).
+      u = row.degree == 0 ? reference
+                          : row.targets[rng.NextBounded(row.degree)];
       ++length;
     }
-    if (options.estimator == MonteCarloEstimator::kEndpoint) {
-      ++ws->counts[u];
-      ++ws->steps;
+    if constexpr (!kCountVisits) {
+      ++counts[u];
+      ++steps;
     }
   }
+  ws->steps += steps;
 }
 
 }  // namespace
@@ -62,8 +77,9 @@ Result<MonteCarloScores> ComputeMonteCarloPpr(
   if (!(options.alpha > 0.0) || !(options.alpha < 1.0)) {
     return Status::InvalidArgument("MonteCarloPpr: alpha must be in (0,1)");
   }
-  if (options.num_walks == 0) {
-    return Status::InvalidArgument("MonteCarloPpr: num_walks must be >= 1");
+  if (options.num_walks == 0 || options.num_walks > kMaxMonteCarloWalks) {
+    return Status::InvalidArgument(
+        "MonteCarloPpr: num_walks must be in [1, 2^32]");
   }
 
   const NodeId n = g.num_nodes();
@@ -81,6 +97,17 @@ Result<MonteCarloScores> ComputeMonteCarloPpr(
     rng.Jump();
   }
 
+  std::vector<WalkRow> rows(n);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto out = g.OutNeighbors(u);
+    rows[u] = {out.data(), static_cast<uint32_t>(out.size())};
+  }
+  const uint64_t continue_below = Rng::BernoulliThreshold(options.alpha);
+  const auto run_shard =
+      options.estimator == MonteCarloEstimator::kVisitFrequency
+          ? &RunWalkShard<MonteCarloEstimator::kVisitFrequency>
+          : &RunWalkShard<MonteCarloEstimator::kEndpoint>;
+
   WorkspacePool<WalkWorkspace> workspaces([n] {
     auto ws = std::make_unique<WalkWorkspace>();
     ws->counts.assign(n, 0);
@@ -96,8 +123,9 @@ Result<MonteCarloScores> ComputeMonteCarloPpr(
                     std::min<uint64_t>(kWalksPerShard,
                                        options.num_walks - begin);
                 auto ws = workspaces.Acquire();
-                RunWalkShard(g, reference, options, walks, shard_rng[shard],
-                             ws.get());
+                run_shard(rows, reference, continue_below,
+                          options.max_walk_length, walks, shard_rng[shard],
+                          ws.get());
               });
 
   // Integer merge: associative and commutative, hence independent of which

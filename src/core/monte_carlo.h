@@ -20,12 +20,17 @@ enum class MonteCarloEstimator {
   kEndpoint,
 };
 
+/// Most walks one call accepts. Every walk shard's RNG is derived before
+/// the first walk runs, so the cap bounds that set-up at 2^18 shards.
+inline constexpr uint64_t kMaxMonteCarloWalks = uint64_t{1} << 32;
+
 /// Options for Monte-Carlo Personalized PageRank.
 struct MonteCarloOptions {
   /// Damping factor α = continuation probability of the walk.
   double alpha = 0.85;
 
-  /// Number of independent walks started at the reference node.
+  /// Number of independent walks started at the reference node, in
+  /// [1, kMaxMonteCarloWalks].
   uint64_t num_walks = 100000;
 
   /// PRNG seed; identical seeds reproduce identical estimates.

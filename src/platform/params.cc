@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "core/monte_carlo.h"
 #include "core/scoring.h"
 
 namespace cyclerank {
@@ -175,6 +176,25 @@ std::string TaskFingerprint(const std::string& dataset, uint64_t generation,
   return out;
 }
 
+namespace {
+
+/// Reads the integer `key` (`fallback` when absent) and rejects anything
+/// outside [0, max] before the caller narrows it to its field's type.
+Result<int64_t> GetIntInRange(const ParamMap& params, std::string_view key,
+                              int64_t fallback, int64_t max) {
+  CYCLERANK_ASSIGN_OR_RETURN(const int64_t value, params.GetInt(key, fallback));
+  if (value < 0 || value > max) {
+    return Status::InvalidArgument("params: " + std::string(key) +
+                                   " must be in [0, " + std::to_string(max) +
+                                   "]");
+  }
+  return value;
+}
+
+constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
+
 Result<AlgorithmRequest> BuildRequest(const Graph& graph,
                                       const ParamMap& params) {
   static const char* kKnownKeys[] = {
@@ -207,8 +227,7 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
     NodeId ref = graph.FindNode(ref_label);
     if (ref == kInvalidNode) {
       auto numeric = ParseInt64(ref_label);
-      if (numeric.ok() && *numeric >= 0 &&
-          graph.IsValidNode(static_cast<NodeId>(*numeric))) {
+      if (numeric.ok() && *numeric >= 0 && *numeric < graph.num_nodes()) {
         ref = static_cast<NodeId>(*numeric);
       } else {
         return Status::NotFound("reference node '" + ref_label +
@@ -222,9 +241,9 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
                              params.GetDouble("alpha", request.alpha));
 
   int64_t k = request.max_cycle_length;
-  CYCLERANK_ASSIGN_OR_RETURN(k, params.GetInt("k", k));
-  CYCLERANK_ASSIGN_OR_RETURN(k, params.GetInt("maxloop", k));
-  if (k < 0) return Status::InvalidArgument("params: k must be >= 0");
+  CYCLERANK_ASSIGN_OR_RETURN(k, GetIntInRange(params, "k", k, kMaxUint32));
+  CYCLERANK_ASSIGN_OR_RETURN(k,
+                             GetIntInRange(params, "maxloop", k, kMaxUint32));
   request.max_cycle_length = static_cast<uint32_t>(k);
 
   std::string sigma = params.GetString("sigma", "");
@@ -236,18 +255,20 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
 
   CYCLERANK_ASSIGN_OR_RETURN(request.tolerance,
                              params.GetDouble("tolerance", request.tolerance));
-  int64_t max_iter = request.max_iterations;
-  CYCLERANK_ASSIGN_OR_RETURN(max_iter, params.GetInt("max_iterations", max_iter));
-  if (max_iter < 0) {
-    return Status::InvalidArgument("params: max_iterations must be >= 0");
-  }
+  CYCLERANK_ASSIGN_OR_RETURN(
+      const int64_t max_iter,
+      GetIntInRange(params, "max_iterations", request.max_iterations,
+                    kMaxUint32));
   request.max_iterations = static_cast<uint32_t>(max_iter);
 
   CYCLERANK_ASSIGN_OR_RETURN(request.epsilon,
                              params.GetDouble("epsilon", request.epsilon));
-  int64_t walks = static_cast<int64_t>(request.num_walks);
-  CYCLERANK_ASSIGN_OR_RETURN(walks, params.GetInt("walks", walks));
-  if (walks < 0) return Status::InvalidArgument("params: walks must be >= 0");
+  // The Monte-Carlo kernel's own cap: it bounds the per-call shard table
+  // (one RNG per 16384 walks) that is built before any walk runs.
+  CYCLERANK_ASSIGN_OR_RETURN(
+      const int64_t walks,
+      GetIntInRange(params, "walks", static_cast<int64_t>(request.num_walks),
+                    static_cast<int64_t>(kMaxMonteCarloWalks)));
   request.num_walks = static_cast<uint64_t>(walks);
 
   int64_t seed = static_cast<int64_t>(request.seed);
@@ -259,22 +280,18 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
   if (top_k < 0) return Status::InvalidArgument("params: top_k must be >= 0");
   request.top_k = static_cast<size_t>(top_k);
 
-  int64_t threads = static_cast<int64_t>(request.num_threads);
-  CYCLERANK_ASSIGN_OR_RETURN(threads, params.GetInt("threads", threads));
-  if (threads < 0 || threads > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument(
-        "params: threads must be in [0, 2^32)");
-  }
+  CYCLERANK_ASSIGN_OR_RETURN(
+      const int64_t threads,
+      GetIntInRange(params, "threads", request.num_threads, kMaxUint32));
   request.num_threads = static_cast<uint32_t>(threads);
 
   // Execution-only, like threads: 0 = monolithic (or the platform default).
   // Capped well below the node-count scale — a partition into 2^16 ranges
   // already exceeds any sensible locality win.
-  int64_t shards = static_cast<int64_t>(request.num_shards);
-  CYCLERANK_ASSIGN_OR_RETURN(shards, params.GetInt("shards", shards));
-  if (shards < 0 || shards >= (int64_t{1} << 16)) {
-    return Status::InvalidArgument("params: shards must be in [0, 2^16)");
-  }
+  CYCLERANK_ASSIGN_OR_RETURN(
+      const int64_t shards,
+      GetIntInRange(params, "shards", request.num_shards,
+                    (int64_t{1} << 16) - 1));
   request.num_shards = static_cast<uint32_t>(shards);
 
   return request;

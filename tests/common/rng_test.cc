@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/binary_io.h"
 
 namespace cyclerank {
 namespace {
@@ -108,6 +112,110 @@ TEST(RngTest, UsableWithStdShuffle) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(RngTest, BernoulliThresholdMatchesDoubleComparison) {
+  // y stands for the draw's top 53 bits, x >> 11.
+  const double kAlphas[] = {0x1.0p-60,
+                            0.15,
+                            0.5,
+                            0.85,
+                            std::nextafter(0.85, 0.0),
+                            std::nextafter(0.85, 1.0),
+                            1.0 - 0x1.0p-53};
+  for (const double alpha : kAlphas) {
+    const uint64_t t = Rng::BernoulliThreshold(alpha);
+    EXPECT_EQ(static_cast<double>(t), std::ceil(alpha * 0x1.0p53));
+    for (const uint64_t y :
+         {uint64_t{0}, t - 1, t, t + 1, (uint64_t{1} << 53) - 1}) {
+      EXPECT_EQ(y < t, static_cast<double>(y) * 0x1.0p-53 < alpha)
+          << "alpha=" << alpha << " y=" << y;
+    }
+  }
+}
+
+TEST(RngTest, NextBelowReplaysNextBool) {
+  for (const double p : {0.15, 0.3, 0.85}) {
+    Rng a(77), b(77);
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(a.NextBelow(threshold), b.NextBool(p)) << "p=" << p;
+    }
+    EXPECT_EQ(a.Next(), b.Next());
+  }
+}
+
+// Stream pins. The Monte-Carlo kernel and every generated catalog dataset
+// draw from this generator, so a change to any draw method's output, or to
+// the number of raw draws it consumes, would silently change reproduced
+// numbers. Each pin is an FNV-1a hash of the bytes of 64 outputs
+// (little-endian; doubles by their IEEE-754 bit pattern).
+constexpr uint64_t kPinSeed = 2024;
+
+uint64_t HashStream(Rng rng,
+                    const std::function<void(Rng&, std::string*)>& draw) {
+  std::string bytes;
+  for (int i = 0; i < 64; ++i) draw(rng, &bytes);
+  return binio::Fnv1a64(bytes);
+}
+
+void AppendNext(Rng& rng, std::string* out) {
+  binio::AppendU64(out, rng.Next());
+}
+
+TEST(RngTest, PinnedStreams) {
+  Rng rng(kPinSeed);
+  EXPECT_EQ(rng.Next(), 0x0e48715a13d7772eull);
+  EXPECT_EQ(rng.Next(), 0xc837f3ee8a7a1065ull);
+  EXPECT_EQ(HashStream(Rng(kPinSeed), AppendNext), 0xf73a6795edaea4d0ull);
+  EXPECT_EQ(HashStream(Rng(kPinSeed),
+                       [](Rng& r, std::string* out) {
+                         binio::AppendDouble(out, r.NextDouble());
+                       }),
+            0xc533557c74c203a9ull);
+  EXPECT_EQ(HashStream(Rng(kPinSeed),
+                       [](Rng& r, std::string* out) {
+                         binio::AppendU64(out, static_cast<uint64_t>(
+                                                   r.NextInRange(-1000, 1000)));
+                       }),
+            0x93b8a8fb8afc08e6ull);
+  EXPECT_EQ(HashStream(Rng(kPinSeed),
+                       [](Rng& r, std::string* out) {
+                         binio::AppendDouble(out, r.NextGaussian());
+                       }),
+            0xa3b337a8beb30e3full);
+
+  // NextBool(0.3): draw i is bit i.
+  Rng bools(kPinSeed);
+  uint64_t mask = 0;
+  for (int i = 0; i < 64; ++i) mask |= uint64_t{bools.NextBool(0.3)} << i;
+  EXPECT_EQ(mask, 0x38100c530a4182adull);
+
+  Rng jumped(kPinSeed);
+  jumped.Jump();
+  EXPECT_EQ(HashStream(jumped, AppendNext), 0xc8b6d308c0f3aa8full);
+}
+
+TEST(RngTest, PinnedBoundedStreams) {
+  // Each hash also covers one raw draw after the 64 bounded ones, so it
+  // pins how many draws Lemire's rejection loop consumed. The last bound
+  // rejects about half of all first draws.
+  const struct {
+    uint64_t bound;
+    uint64_t hash;
+  } kPins[] = {{1, 0x5b32257c6a4ccd0dull},
+               {3, 0xd7d81bd841eee1a3ull},
+               {1448, 0x34c1ead64684c877ull},
+               {(uint64_t{1} << 63) + 1, 0xa5495753a93e04d2ull}};
+  for (const auto& pin : kPins) {
+    Rng rng(kPinSeed);
+    std::string bytes;
+    for (int i = 0; i < 64; ++i) {
+      binio::AppendU64(&bytes, rng.NextBounded(pin.bound));
+    }
+    binio::AppendU64(&bytes, rng.Next());
+    EXPECT_EQ(binio::Fnv1a64(bytes), pin.hash) << "bound=" << pin.bound;
+  }
 }
 
 }  // namespace

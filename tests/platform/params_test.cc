@@ -88,6 +88,21 @@ TEST(BuildRequestTest, ResolvesNumericReferenceOnUnlabeledGraph) {
   EXPECT_EQ(BuildRequest(g, params).value().reference, 1u);
 }
 
+TEST(BuildRequestTest, NumericReferenceBeyondNodeIdRangeIsNotFound) {
+  GraphBuilder builder;
+  builder.AddEdge(0, 5);
+  const Graph g = builder.Build().value();
+  EXPECT_EQ(BuildRequest(g, ParamMap::Parse("source=5").value())
+                .value()
+                .reference,
+            5u);
+  // 2^32 + 5 must not wrap to node 5.
+  EXPECT_EQ(BuildRequest(g, ParamMap::Parse("source=4294967301").value())
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
 TEST(BuildRequestTest, AcceptsReferenceAliases) {
   const Graph g = LabeledGraph();
   EXPECT_EQ(BuildRequest(g, ParamMap::Parse("reference=CNN").value())
@@ -157,6 +172,29 @@ TEST(BuildRequestTest, ParsesShardCount) {
   EXPECT_EQ(capped.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(capped.status().message().find("shards"), std::string::npos);
   EXPECT_FALSE(BuildRequest(g, ParamMap::Parse("shards=many").value()).ok());
+}
+
+TEST(BuildRequestTest, RejectsIntegersBeyondTheirFieldRange) {
+  const Graph g = LabeledGraph();
+  // Each would otherwise wrap on narrowing (max_iterations=2^32 ran zero
+  // iterations), or, for walks, size the Monte-Carlo shard table.
+  for (const char* text :
+       {"k=4294967296", "maxloop=4294967296", "max_iterations=4294967296",
+        "threads=4294967296", "walks=4294967297", "walks=1000000000000",
+        "walks=4611686018427387904"}) {
+    const auto request = BuildRequest(g, ParamMap::Parse(text).value());
+    ASSERT_FALSE(request.ok()) << text;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // The caps themselves are accepted.
+  const ParamMap caps =
+      ParamMap::Parse("k=4294967295, max_iterations=4294967295, "
+                      "walks=4294967296")
+          .value();
+  const AlgorithmRequest request = BuildRequest(g, caps).value();
+  EXPECT_EQ(request.max_cycle_length, 4294967295u);
+  EXPECT_EQ(request.max_iterations, 4294967295u);
+  EXPECT_EQ(request.num_walks, uint64_t{1} << 32);
 }
 
 TEST(BuildRequestTest, RejectsUnknownKeys) {
