@@ -1,7 +1,7 @@
-// Ablation A2 — CycleRank search pruning (DESIGN.md §4). The
-// distance-bounded DFS must produce byte-identical scores while expanding
-// far fewer states than the naive bounded DFS. This bench reports the
-// expansion counts, wall-clock times and the speedup across K.
+// Ablation A2 — CycleRank search pruning (`CycleRankOptions::use_pruning`).
+// The distance-bounded DFS must produce byte-identical scores while
+// expanding far fewer states than the naive bounded DFS. This bench reports
+// the expansion counts, wall-clock times and the speedup across K.
 
 #include <cstdio>
 

@@ -209,13 +209,11 @@ double Percentile(std::vector<double>& samples, double p) {
 /// The PR-6 headline: Get tail latency *under eviction churn*. A background
 /// thread uploads graphs through a 4-slot budget (every upload demotes a
 /// victim to disk) while the measured thread issues Gets at a fixed arrival
-/// rate and records each call's service time. With synchronous spilling
-/// (arg 0 — the PR-5 baseline) the demotion's serialize+compress+write runs
-/// inside the store's critical section and stalls concurrent Gets; with a
-/// write-behind buffer (arg = buffer bytes) the upload enqueues and the
-/// flush thread pays the IO off-lock. The p99 counter is the acceptance
-/// metric. Args: {spill_write_behind_bytes, spill_compression} —
-/// {0, 0} reproduces the PR-5 configuration exactly.
+/// rate and records each call's service time. The upload enqueues into the
+/// write-behind buffer and the flush thread pays the serialize + compress +
+/// write off-lock. The p99 counter is the acceptance metric (BENCH_PR6.json
+/// holds the synchronous baseline it was compared with). Arg:
+/// spill_write_behind_bytes.
 void BM_Datastore_ChurnGetTailLatency(benchmark::State& state) {
   std::vector<GraphPtr> pool;
   for (uint64_t seed = 0; seed < 8; ++seed) {
@@ -225,7 +223,6 @@ void BM_Datastore_ChurnGetTailLatency(benchmark::State& state) {
   options.spill_dir = BenchSpillDir();
   options.graph_spill_bytes = 256u << 20;
   options.spill_write_behind_bytes = static_cast<size_t>(state.range(0));
-  options.spill_compression = state.range(1) != 0;
   Datastore store(nullptr, options);
   for (size_t i = 0; i < 4; ++i) {
     (void)store.PutDataset("churn-" + std::to_string(i), pool[i]);
@@ -286,8 +283,7 @@ void BM_Datastore_ChurnGetTailLatency(benchmark::State& state) {
       static_cast<double>(stats.backpressure_waits);
 }
 BENCHMARK(BM_Datastore_ChurnGetTailLatency)
-    ->Args({0, 0})          // PR-5 baseline: synchronous, uncompressed
-    ->Args({32 << 20, 1})   // PR-6: 32 MiB write-behind + compression
+    ->Arg(32 << 20)  // the PlatformOptions default
     ->Iterations(4000)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
@@ -318,27 +314,26 @@ void BM_SpillTier_ColdMissFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SpillTier_ColdMissFilter);
 
-/// Compression leverage on the spill path: one demote+reload round trip of
-/// a CSR graph payload, compressed vs raw on disk. The bytes counters show
-/// the on-disk footprint both ways. Arg: 1 = compressed.
+/// Compression leverage on the spill path: one demote + flush + reload
+/// round trip of a CSR graph payload through the disk (the `Flush()` keeps
+/// the `Get` from being a buffer hit). The bytes counters show the raw and
+/// on-disk footprint.
 void BM_SpillTier_CompressedRoundTrip(benchmark::State& state) {
   const GraphPtr graph = BenchGraph(10000, 1);
   const std::string payload = graph->Serialize();
-  SpillTierOptions options;
-  options.compression = state.range(0) != 0;
-  SpillTier tier(BenchSpillDir(), options, "dataset");
+  SpillTier tier(BenchSpillDir(), SpillTierOptions{}, "dataset");
   for (auto _ : state) {
     benchmark::DoNotOptimize(tier.Put("g", payload));
+    benchmark::DoNotOptimize(tier.Flush());
     benchmark::DoNotOptimize(tier.Get("g"));
   }
   const SpillTierStats stats = tier.stats();
   state.counters["raw_bytes"] = static_cast<double>(stats.raw_bytes);
   state.counters["disk_bytes"] = static_cast<double>(stats.bytes);
 }
-BENCHMARK(BM_SpillTier_CompressedRoundTrip)
-    ->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SpillTier_CompressedRoundTrip)->Unit(benchmark::kMicrosecond);
 
-/// Degraded-mode churn: the same Put+Get cycle against a healthy disk
+/// Degraded-mode churn: the same Put+Flush+Get cycle against a healthy disk
 /// (arg 0) and against a tier whose circuit breaker is open after a
 /// persistent write failure (arg 1). The PR-8 acceptance point is that
 /// degradation is a *fast* documented fallback, not a slow error path:
@@ -361,13 +356,16 @@ void BM_SpillTier_DegradedChurn(benchmark::State& state) {
     fault.kind = EnvFault::Kind::kPersistent;
     fault.op = EnvOp::kWrite;
     env.AddFault(fault);
-    (void)tier.Put("trip", payload);  // the failed write opens the breaker
+    // The failed flush of this write opens the breaker.
+    (void)tier.Put("trip", payload);
+    (void)tier.Flush();
   }
   const uint64_t spills_before = tier.stats().spills;
   uint64_t churns = 0;
   for (auto _ : state) {
     const std::string key = "churn-" + std::to_string(churns % 64);
     benchmark::DoNotOptimize(tier.Put(key, payload));
+    benchmark::DoNotOptimize(tier.Flush());
     benchmark::DoNotOptimize(tier.Get(key));
     ++churns;
   }

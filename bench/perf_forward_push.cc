@@ -1,14 +1,12 @@
 // Experiment P3 — the frontier-parallel traversal engine (PR 3): the
 // round-synchronous forward-push PPR and the level-synchronous BFS, swept
-// over thread counts, against a legacy serial-deque forward push kept here
-// as the baseline the 1-thread acceptance bound is measured against
-// (outputs are bit-identical across the `threads` sweep by construction;
-// benchmark JSON carries the push counts so schedule regressions show up
-// as counter drift, not just time drift).
+// over thread counts (outputs are bit-identical across the `threads` sweep
+// by construction; benchmark JSON carries the push counts so schedule
+// regressions show up as counter drift, not just time drift). The serial
+// deque baseline of the 1-thread bound is recorded in BENCH_PR3.json.
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <vector>
 
 #include "core/forward_push.h"
@@ -26,71 +24,6 @@ Graph MakeGraph(int64_t n) {
   config.seed = 99;
   return GenerateBarabasiAlbert(config).value();
 }
-
-/// The pre-PR-3 queue-carried (Gauss-Seidel) forward push, verbatim in
-/// structure: the reference point for the "round-synchronous is no more
-/// than ~10% slower serial" acceptance bound.
-ForwardPushScores LegacyDequeForwardPush(const Graph& g, NodeId reference,
-                                         const ForwardPushOptions& options) {
-  const NodeId n = g.num_nodes();
-  const double alpha = options.alpha;
-  ForwardPushScores result;
-  result.scores.assign(n, 0.0);
-  std::vector<double> residual(n, 0.0);
-  residual[reference] = 1.0;
-  std::deque<NodeId> queue{reference};
-  std::vector<bool> queued(n, false);
-  queued[reference] = true;
-  auto threshold = [&](NodeId u) {
-    const uint32_t deg = g.OutDegree(u);
-    return deg == 0 ? 0.0 : options.epsilon * static_cast<double>(deg);
-  };
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    queued[u] = false;
-    const double r_u = residual[u];
-    if (r_u <= threshold(u) || r_u == 0.0) continue;
-    ++result.pushes;
-    residual[u] = 0.0;
-    result.scores[u] += (1.0 - alpha) * r_u;
-    const auto row = g.OutNeighbors(u);
-    if (row.empty()) {
-      residual[reference] += alpha * r_u;
-      if (!queued[reference] && residual[reference] > threshold(reference)) {
-        queue.push_back(reference);
-        queued[reference] = true;
-      }
-      continue;
-    }
-    const double share = alpha * r_u / static_cast<double>(row.size());
-    for (NodeId v : row) {
-      residual[v] += share;
-      if (!queued[v] && residual[v] > threshold(v)) {
-        queue.push_back(v);
-        queued[v] = true;
-      }
-    }
-  }
-  double mass = 0.0;
-  for (double r : residual) mass += r;
-  result.residual_mass = mass;
-  return result;
-}
-
-void BM_ForwardPush_LegacyDeque(benchmark::State& state) {
-  const Graph g = MakeGraph(state.range(0));
-  ForwardPushOptions options;
-  options.epsilon = 1e-7;
-  uint64_t pushes = 0;
-  for (auto _ : state) {
-    const auto result = LegacyDequeForwardPush(g, 0, options);
-    pushes = result.pushes;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["pushes"] = static_cast<double>(pushes);
-}
-BENCHMARK(BM_ForwardPush_LegacyDeque)->Arg(10000)->Arg(50000);
 
 void BM_ForwardPush_RoundSync(benchmark::State& state) {
   const Graph g = MakeGraph(state.range(0));

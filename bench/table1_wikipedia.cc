@@ -3,8 +3,9 @@
 //    PPR (α=0.3) scores computed on the 2018-03-01 English Wikipedia
 //    snapshot. The reference articles for CR and PPR are 'Freddie Mercury'
 //    and 'Pasta'."
-// Substrate: the embedded EnwikiMini() corpus (DESIGN.md §2). The printed
-// rows are compared against the paper in EXPERIMENTS.md.
+// Substrate: the embedded EnwikiMini() corpus (src/datasets/corpus.h). The
+// printed rows are laid out for side-by-side comparison with the paper's
+// Table I.
 
 #include <cstdio>
 #include <string>

@@ -36,7 +36,7 @@ std::string_view StatusCodeToString(StatusCode code);
 /// Cheap value type describing the outcome of an operation.
 ///
 /// `Status` is returned by every fallible public API in this library instead
-/// of throwing exceptions (see DESIGN.md §7). An OK status carries no
+/// of throwing exceptions. An OK status carries no
 /// allocation; error statuses carry a code and a human-readable message.
 ///
 /// Typical use:

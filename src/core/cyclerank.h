@@ -25,7 +25,8 @@ struct CycleRankOptions {
   /// exponential damping σ = e^-n" (§II).
   ScoringFunction scoring = ScoringFunction::kExponential;
 
-  /// Distance-based search pruning (DESIGN.md §4). Disabling it recovers
+  /// Distance-based search pruning (a backward BFS bounds every DFS branch
+  /// by its distance back to the reference). Disabling it recovers
   /// the naive bounded DFS — same counts, more work — and exists for the
   /// A2 ablation bench.
   bool use_pruning = true;

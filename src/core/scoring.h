@@ -14,7 +14,8 @@ namespace cyclerank {
 /// The paper's default — experimentally best on Wikipedia — is the
 /// exponential damping σ(n) = e^-n; the CycleRank journal paper also
 /// evaluates the reciprocal-linear, reciprocal-quadratic and constant
-/// variants, which we ship for the ablation bench (DESIGN.md A1).
+/// variants, which we ship for the ablation bench
+/// (`bench/ablation_scoring.cc`).
 enum class ScoringFunction {
   kExponential,  ///< σ(n) = e^-n (paper default)
   kLinear,       ///< σ(n) = 1/n

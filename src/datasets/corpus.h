@@ -18,8 +18,7 @@ namespace cyclerank {
 /// topical clusters whose members form short cycles with the reference
 /// node (which is what CycleRank rewards). Node labels are the actual
 /// article / product names from the tables so the generated tables are
-/// directly comparable with the paper. DESIGN.md §2 documents the
-/// substitution in full.
+/// directly comparable with the paper.
 
 /// English Wikipedia miniature (snapshot role: enwiki 2018-03-01).
 /// Contains the "Freddie Mercury" / Queen cluster, the "Pasta" / Italian

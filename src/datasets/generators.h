@@ -15,7 +15,7 @@ namespace cyclerank {
 /// Twitter interaction networks — §IV-B) are either huge or not publicly
 /// redistributable, so the benchmark harness runs on synthetic graphs whose
 /// structure matches the properties the experiments depend on (hubs,
-/// clusters, reciprocity — see DESIGN.md §2). All generators are
+/// clusters, reciprocity). All generators are
 /// deterministic in their seed.
 
 /// G(n, p): every ordered pair (u,v), u≠v, becomes an edge with

@@ -10,7 +10,7 @@
 namespace cyclerank {
 
 /// ASD format — the demo authors' own format (§IV-B), matching the input of
-/// the original `cyclerank` C++ implementation (spec in DESIGN.md §8):
+/// the original `cyclerank` C++ implementation:
 /// ```
 ///   # optional comments
 ///   N M          <- node count, edge count

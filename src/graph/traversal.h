@@ -27,7 +27,7 @@ enum class Direction {
 ///
 /// The backward variant computes, for every node v, the length of the
 /// shortest path v→…→source — exactly the quantity CycleRank's pruning
-/// needs (DESIGN.md §4).
+/// needs (`CycleRankOptions::use_pruning` in core/cyclerank.h).
 ///
 /// Runs level-synchronously on the frontier engine (`common/frontier.h`):
 /// each BFS wave is expanded in parallel on the shared compute pool when

@@ -14,9 +14,9 @@ namespace {
 
 /// One spill tier per payload kind, as `<spill_dir>/<subdir>`; null when
 /// spilling is disabled (empty `spill_dir`). Every tier inherits the
-/// LSM-style knobs (write-behind buffer bound, on-disk compression) and
-/// the failure-handling knobs (retry budget/backoff, breaker probe
-/// interval), and talks to the caller's `Env` (null = the real disk).
+/// write-behind buffer bound and the failure-handling knobs (retry
+/// budget/backoff, breaker probe interval), and talks to the caller's
+/// `Env` (null = the real disk).
 std::unique_ptr<SpillTier> MakeSpillTier(const PlatformOptions& options,
                                          Env* env, const char* subdir,
                                          size_t max_bytes, const char* what) {
@@ -24,7 +24,6 @@ std::unique_ptr<SpillTier> MakeSpillTier(const PlatformOptions& options,
   SpillTierOptions tier;
   tier.max_bytes = max_bytes;
   tier.write_behind_bytes = options.spill_write_behind_bytes;
-  tier.compression = options.spill_compression;
   tier.env = env;
   tier.retry_limit = static_cast<int>(options.spill_retry_limit);
   tier.retry_backoff_ms = options.spill_retry_backoff_ms;
@@ -87,9 +86,8 @@ void Datastore::DemoteEvictedResultsLocked(std::vector<TaskResult> evicted) {
   for (TaskResult& victim : evicted) {
     evicted_ids.push_back(victim.task_id);
     if (result_spill_ == nullptr) continue;
-    // Deferred payload: in write-behind mode the serialization happens on
-    // the tier's flush thread, so retention eviction stops paying for it
-    // under put_mu_.
+    // Deferred payload: the serialization happens on the tier's flush
+    // thread, so retention eviction does not pay for it under put_mu_.
     const std::string task_id = victim.task_id;
     const Status spilled =
         result_spill_->Put(task_id, MakeResultSpillPayload(std::move(victim)));

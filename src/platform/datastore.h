@@ -59,11 +59,11 @@ struct DatastoreSpillStats {
 /// `<spill_dir>/cache`): eviction from the memory stores — including the
 /// result cache — *demotes* the victim to disk instead of destroying it,
 /// later lookups transparently reload it, and the tiers survive a process
-/// restart (manifest + recovery scan). The tiers inherit the LSM-style
-/// knobs (`spill_write_behind_bytes`, `spill_compression`): demotion
-/// enqueues into a write-behind buffer flushed by a background thread, and
-/// payloads are block-compressed on disk. An empty `spill_dir` keeps the
-/// historical drop-on-evict behavior.
+/// restart (manifest + recovery scan). Demotion enqueues into each tier's
+/// write-behind buffer (bounded by `spill_write_behind_bytes`), flushed by
+/// a background thread that block-compresses payloads on disk; `Flush()`
+/// is the durability barrier. An empty `spill_dir` keeps the historical
+/// drop-on-evict behavior.
 ///
 /// Datasets resolve against (a) graphs uploaded at runtime ("users can
 /// upload new datasets") and (b) an optional backing `DatasetCatalog` of
@@ -200,7 +200,7 @@ class Datastore {
   /// tier's flush thread could not write (disk failure even after
   /// retries) surface here as the first tier's error Status, instead of
   /// vanishing into a log line. All tiers are drained regardless of
-  /// individual failures. OK with synchronous spilling or no `spill_dir`.
+  /// individual failures. OK without a `spill_dir`.
   Status Flush();
 
   /// One-poll snapshot of all three spill tiers' counters (zeros for

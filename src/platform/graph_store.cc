@@ -219,9 +219,9 @@ void GraphStore::EvictLocked() {
       if (spill_->Meta(victim->key) == victim->value.generation) {
         ++stats_.spills;
       } else {
-        // Hand the tier a deferred payload: in write-behind mode this
-        // enqueues the GraphPtr and returns — serialization happens on
-        // the flush thread, not under this store's lock.
+        // Hand the tier a deferred payload: the tier enqueues the
+        // GraphPtr and returns — serialization happens on the flush
+        // thread, not under this store's lock.
         const Status spilled = spill_->Put(
             victim->key,
             std::make_shared<const GraphSpillPayload>(victim->value.graph),

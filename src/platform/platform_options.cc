@@ -122,26 +122,45 @@ Result<PlatformOptions> PlatformOptions::FromString(std::string_view text) {
     } else if (key == "spill_write_behind_bytes") {
       CYCLERANK_ASSIGN_OR_RETURN(options.spill_write_behind_bytes,
                                  ParseByteSize(key, value));
+      if (options.spill_write_behind_bytes == 0) {
+        return Status::InvalidArgument(
+            "platform options: spill_write_behind_bytes must be > 0 (spilling "
+            "is always write-behind; call Datastore::Flush() for a "
+            "durability barrier)");
+      }
     } else if (key == "spill_compression") {
+      // Accepted for old configs: spill files are always compressed.
       const std::string lowered = AsciiToLower(value);
-      if (lowered == "true" || lowered == "1") {
-        options.spill_compression = true;
-      } else if (lowered == "false" || lowered == "0") {
-        options.spill_compression = false;
-      } else {
+      if (lowered == "false" || lowered == "0") {
+        return Status::InvalidArgument(
+            "platform options: spill_compression=" + value +
+            " is no longer supported (spill files are always compressed)");
+      }
+      if (lowered != "true" && lowered != "1") {
         return Status::ParseError(
-            "platform options: spill_compression expects true/false/1/0, "
-            "got '" + value + "'");
+            "platform options: spill_compression expects true/1, got '" +
+            value + "'");
       }
     } else if (key == "spill_retry_limit") {
       CYCLERANK_ASSIGN_OR_RETURN(options.spill_retry_limit,
                                  ParseCount(key, value));
+      if (options.spill_retry_limit >
+          static_cast<size_t>(std::numeric_limits<int>::max())) {
+        return Status::OutOfRange(
+            "platform options: spill_retry_limit must be in [0, 2^31), got " +
+            value);
+      }
     } else if (key == "spill_retry_backoff_ms") {
       CYCLERANK_ASSIGN_OR_RETURN(options.spill_retry_backoff_ms,
                                  ParseUint64(key, value));
     } else if (key == "spill_breaker_probe_ms") {
       CYCLERANK_ASSIGN_OR_RETURN(options.spill_breaker_probe_ms,
                                  ParseUint64(key, value));
+      if (options.spill_breaker_probe_ms >= (uint64_t{1} << 32)) {
+        return Status::OutOfRange(
+            "platform options: spill_breaker_probe_ms must be in [0, 2^32), "
+            "got " + value);
+      }
     } else if (key == "listen_port") {
       CYCLERANK_ASSIGN_OR_RETURN(uint64_t port, ParseUint64(key, value));
       if (port > 65535) {
@@ -199,12 +218,8 @@ std::string PlatformOptions::ToString() const {
   append("result_cache_bytes", result_cache_bytes);
   append("result_spill_bytes", result_spill_bytes);
   append("spill_breaker_probe_ms", spill_breaker_probe_ms);
-  // The bool rides as true/false (FromString accepts 1/0 too), the
-  // string-valued knob as-is; an empty spill_dir parses back to the empty
-  // (disabled) default. Both keep the sorted-key order.
-  if (!out.empty()) out += ", ";
-  out += std::string("spill_compression=") +
-         (spill_compression ? "true" : "false");
+  // The string-valued knob rides as-is, in sorted-key order; an empty
+  // spill_dir parses back to the empty (disabled) default.
   out += ", spill_dir=" + spill_dir;
   append("spill_retry_backoff_ms", spill_retry_backoff_ms);
   append("spill_retry_limit", spill_retry_limit);

@@ -89,25 +89,22 @@ struct PlatformOptions {
   /// Byte budget of the result spill tier; same semantics.
   size_t result_spill_bytes = 0;
 
-  /// Byte bound of each spill tier's in-memory write-behind buffer. With
-  /// a non-zero bound, demotion *enqueues* the victim and returns — a
-  /// background flush thread serializes, compresses, and renames to disk
-  /// off the store locks, and reads hit the buffer before disk so an
-  /// entry is never invisible. Past the bound demotion blocks until the
-  /// flusher catches up (backpressure). 0 = synchronous demotion (the
-  /// PR-5 behavior: serialize + write inline on the evicting thread).
+  /// Byte bound of each spill tier's in-memory write-behind buffer.
+  /// Demotion *enqueues* the victim and returns — a background flush
+  /// thread serializes, block-compresses (see common/binary_io.h), and
+  /// renames to disk off the store locks, and reads hit the buffer before
+  /// disk so an entry is never invisible. Past the bound demotion blocks
+  /// until the flusher catches up (backpressure). `FromString` rejects 0:
+  /// there is no synchronous mode; `Datastore::Flush()` is the durability
+  /// barrier. Spill files are always written compressed; uncompressed
+  /// files from older processes still load.
   size_t spill_write_behind_bytes = 32u << 20;  // 32 MiB
-
-  /// Compress spilled payloads on disk (block-LZ, checksum-then-compress;
-  /// see common/binary_io.h). CSR arrays and score vectors compress well,
-  /// multiplying the effective disk budgets above. Files written by
-  /// either setting — including pre-compression PR-5 files — always load.
-  bool spill_compression = true;
 
   /// Retries after a failed spill disk operation (write or read) before
   /// the failure counts against the tier's circuit breaker. Retry delays
   /// are deterministic bounded exponential backoff starting at
-  /// `spill_retry_backoff_ms`. 0 = fail on the first error.
+  /// `spill_retry_backoff_ms`. 0 = fail on the first error; at most
+  /// INT_MAX.
   size_t spill_retry_limit = 3;
 
   /// Delay before the first spill retry, doubled per retry, capped at
@@ -118,7 +115,7 @@ struct PlatformOptions {
   /// after retries), how long the tier fast-fails disk work before
   /// admitting a single probe operation to test whether the disk healed.
   /// A successful probe closes the breaker. 0 = probe on the very next
-  /// operation.
+  /// operation; below 2^32.
   uint64_t spill_breaker_probe_ms = 1000;
 
   /// Bound on tasks waiting for a scheduler worker. A submission that
@@ -199,7 +196,6 @@ struct PlatformOptions {
            a.graph_spill_bytes == b.graph_spill_bytes &&
            a.result_spill_bytes == b.result_spill_bytes &&
            a.spill_write_behind_bytes == b.spill_write_behind_bytes &&
-           a.spill_compression == b.spill_compression &&
            a.spill_retry_limit == b.spill_retry_limit &&
            a.spill_retry_backoff_ms == b.spill_retry_backoff_ms &&
            a.spill_breaker_probe_ms == b.spill_breaker_probe_ms &&

@@ -64,8 +64,7 @@ std::string SerializeTaskResult(const TaskResult& result);
 Result<TaskResult> DeserializeTaskResult(std::string_view bytes);
 
 /// Wraps `result` as a deferred spill payload: `SerializeTaskResult` runs
-/// on the spill tier's flush thread (write-behind mode), not on the
-/// evicting caller. The result is moved in and owned by the payload.
+/// on the spill tier's flush thread, not on the evicting caller. The result is moved in and owned by the payload.
 SpillPayloadPtr MakeResultSpillPayload(TaskResult result);
 
 }  // namespace cyclerank

@@ -19,18 +19,18 @@ namespace {
 
 /// Spill file layouts (all integers little-endian).
 ///
-/// v1 (PR 5, uncompressed — still written when compression is off, always
-/// readable):
+/// v1 (uncompressed — no longer written, but read forever: a spill
+/// directory from an older process may hold the only copy of an upload):
 ///   magic "CYSP1\n"                        6 bytes
 ///   meta word (opaque to the tier)         u64
 ///   FNV-1a 64 checksum of the payload      u64
 ///   original key                           u64 length + bytes
 ///   payload                                u64 length + bytes
 ///
-/// v2 (PR 6, compressed): checksum-then-compress — the checksum is still
-/// computed over the *raw* payload, so bit-rot detection is identical to
-/// v1, and the raw size travels in the header so recovery can account
-/// uncompressed bytes without decoding anything:
+/// v2 (compressed; the only format written): checksum-then-compress
+/// — the checksum is still computed over the *raw* payload, so bit-rot
+/// detection is identical to v1, and the raw size travels in the header so
+/// recovery can account uncompressed bytes without decoding anything:
 ///   magic "CYSP2\n"                        6 bytes
 ///   meta word                              u64
 ///   FNV-1a 64 checksum of the RAW payload  u64
@@ -40,7 +40,6 @@ namespace {
 ///
 /// The key is stored *in* the file, so recovery never has to invert the
 /// filename encoding, and a renamed file still identifies itself.
-constexpr std::string_view kSpillMagicV1 = "CYSP1\n";
 constexpr std::string_view kSpillMagicV2 = "CYSP2\n";
 constexpr size_t kMagicBytes = 6;
 constexpr size_t kFixedHeaderBytes = kMagicBytes + 8 + 8;  // magic+meta+sum
@@ -99,94 +98,98 @@ std::string SpillFileName(const std::string& key) {
   return out + std::string(kSpillSuffix);
 }
 
-/// Everything recovery needs from a spill file without reading its payload.
-struct SpillFileInfo {
-  std::string key;
+/// A spill file's header: every field but the payload bytes.
+struct SpillFileHeader {
+  bool compressed = false;  ///< v2 (block-compressed body) vs v1
   uint64_t meta = 0;
-  uint64_t file_bytes = 0;
-  uint64_t raw_bytes = 0;
+  uint64_t checksum = 0;    ///< FNV-1a 64 of the raw payload
+  std::string key;
+  uint64_t raw_bytes = 0;   ///< uncompressed payload size
+  uint64_t file_bytes = 0;  ///< size of the whole file
+  size_t body_offset = 0;   ///< start of the payload (v1) or block (v2)
 };
 
-/// Validates the header of `path` (magic of either codec version, lengths
-/// vs the on-disk size). Payload bytes stay unread — checksums are
-/// verified on `Get`, when the payload is needed anyway. Returns nullopt
-/// with a reason for corrupt, truncated, or unreadable files.
-std::optional<SpillFileInfo> ReadSpillFileInfo(Env* env,
-                                               const std::string& path,
-                                               std::string* why) {
-  Result<uint64_t> size = env->FileSize(path);
-  if (!size.ok()) {
-    *why = "unreadable (" + size.status().message() + ")";
+/// The one decoder of both header layouts, shared by the recovery scan
+/// (which reads only file prefixes) and `Get` (which has the whole file).
+/// `read_prefix(n)` yields the file's first `n` bytes, fewer if it is
+/// shorter; `file_bytes` is its size. Validates the magic, the key length,
+/// and that the declared body ends exactly at the end of the file; the
+/// payload itself is neither read nor verified. Returns nullopt with a
+/// reason for corrupt, truncated, or unreadable files.
+std::optional<SpillFileHeader> DecodeSpillHeader(
+    uint64_t file_bytes,
+    const std::function<Result<std::string>(size_t)>& read_prefix,
+    std::string* why) {
+  constexpr std::string_view kSpillMagicV1 = "CYSP1\n";  // read-only
+  constexpr size_t key_offset = kFixedHeaderBytes + 8;  // after key length
+  Result<std::string> fixed = read_prefix(key_offset);
+  if (!fixed.ok()) {
+    *why = "unreadable (" + fixed.status().message() + ")";
     return std::nullopt;
   }
-  const uint64_t file_bytes = *size;
-  Result<std::string> header = env->ReadFilePrefix(path, kFixedHeaderBytes + 8);
-  if (!header.ok()) {
-    *why = "unreadable (" + header.status().message() + ")";
-    return std::nullopt;
-  }
-  if (header->size() < kFixedHeaderBytes + 8) {
+  if (fixed->size() < key_offset) {
     *why = "truncated before the key";
     return std::nullopt;
   }
   const std::string_view magic =
-      std::string_view(*header).substr(0, kMagicBytes);
-  int version = 0;
-  if (magic == kSpillMagicV1) {
-    version = 1;
-  } else if (magic == kSpillMagicV2) {
-    version = 2;
-  } else {
+      std::string_view(*fixed).substr(0, kMagicBytes);
+  SpillFileHeader header;
+  header.file_bytes = file_bytes;
+  if (magic == kSpillMagicV2) {
+    header.compressed = true;
+  } else if (magic != kSpillMagicV1) {
     *why = "bad magic";
     return std::nullopt;
   }
-  binio::Reader reader(std::string_view(*header).substr(kMagicBytes));
-  SpillFileInfo info;
-  info.file_bytes = file_bytes;
-  uint64_t checksum = 0;
+  binio::Reader reader(std::string_view(*fixed).substr(kMagicBytes));
   uint64_t key_len = 0;
-  (void)reader.ReadU64(&info.meta);
-  (void)reader.ReadU64(&checksum);
+  (void)reader.ReadU64(&header.meta);
+  (void)reader.ReadU64(&header.checksum);
   (void)reader.ReadU64(&key_len);
-  if (key_len > file_bytes - std::min<uint64_t>(file_bytes,
-                                                kFixedHeaderBytes + 8)) {
+  if (key_len > file_bytes - std::min<uint64_t>(file_bytes, key_offset)) {
     *why = "key length exceeds the file";
     return std::nullopt;
   }
   // v1 carries one length word after the key (payload), v2 two (raw size
   // + encoded block length).
-  const size_t tail_bytes = version == 1 ? 8 : 16;
-  const size_t head_bytes =
-      kFixedHeaderBytes + 8 + static_cast<size_t>(key_len) + tail_bytes;
-  Result<std::string> head = env->ReadFilePrefix(path, head_bytes);
+  header.body_offset = key_offset + static_cast<size_t>(key_len) +
+                       (header.compressed ? 16 : 8);
+  Result<std::string> head = read_prefix(header.body_offset);
   if (!head.ok()) {
     *why = "unreadable (" + head.status().message() + ")";
     return std::nullopt;
   }
-  if (head->size() < head_bytes) {
+  if (head->size() < header.body_offset) {
     *why = "truncated inside the key";
     return std::nullopt;
   }
-  info.key = head->substr(kFixedHeaderBytes + 8,
-                          static_cast<size_t>(key_len));
+  header.key = head->substr(key_offset, static_cast<size_t>(key_len));
   binio::Reader tail_reader(std::string_view(*head).substr(
-      kFixedHeaderBytes + 8 + static_cast<size_t>(key_len)));
+      key_offset + static_cast<size_t>(key_len)));
   uint64_t body_len = 0;
-  uint64_t expected = 0;
-  if (version == 1) {
-    (void)tail_reader.ReadU64(&body_len);
-    info.raw_bytes = body_len;
-    expected = kFixedHeaderBytes + 8 + key_len + 8 + body_len;
-  } else {
-    (void)tail_reader.ReadU64(&info.raw_bytes);
-    (void)tail_reader.ReadU64(&body_len);
-    expected = kFixedHeaderBytes + 8 + key_len + 8 + 8 + body_len;
-  }
-  if (expected != file_bytes) {
+  if (header.compressed) (void)tail_reader.ReadU64(&header.raw_bytes);
+  (void)tail_reader.ReadU64(&body_len);
+  if (!header.compressed) header.raw_bytes = body_len;
+  if (body_len != file_bytes - header.body_offset) {
     *why = "payload length disagrees with the file size (truncated write?)";
     return std::nullopt;
   }
-  return info;
+  return header;
+}
+
+/// The on-disk image of one entry: the v2 header + the compressed payload.
+std::string EncodeSpillFile(const std::string& key, std::string_view raw,
+                            uint64_t meta) {
+  const std::string encoded = binio::CompressBlock(raw);
+  std::string file;
+  file.reserve(kFixedHeaderBytes + 32 + key.size() + encoded.size());
+  file.append(kSpillMagicV2);
+  binio::AppendU64(&file, meta);
+  binio::AppendU64(&file, binio::Fnv1a64(raw));
+  binio::AppendString(&file, key);
+  binio::AppendU64(&file, raw.size());
+  binio::AppendString(&file, encoded);
+  return file;
 }
 
 }  // namespace
@@ -215,13 +218,11 @@ SpillTier::SpillTier(std::string dir, SpillTierOptions options,
     enabled_ = true;
     RecoverLocked();
   }
-  if (write_behind()) {
-    flusher_ = std::thread(&SpillTier::FlushWorker, this);
-  }
+  flusher_ = std::thread(&SpillTier::FlushWorker, this);
 }
 
 SpillTier::~SpillTier() {
-  if (flusher_.joinable()) {
+  if (flusher_.joinable()) {  // not started for a disabled tier
     {
       MutexLock lock(buffer_mu_);
       stop_ = true;
@@ -244,7 +245,7 @@ SpillTier::~SpillTier() {
 
 void SpillTier::RecoverLocked() {
   // Pass 1: every *.spill file with a valid header, keyed by filename.
-  std::map<std::string, SpillFileInfo> valid;
+  std::map<std::string, SpillFileHeader> valid;
   Result<std::vector<std::string>> listing = env_->ListDir(dir_);
   if (!listing.ok()) {
     CYCLERANK_LOG(kWarning) << "spill tier (" << what_
@@ -258,17 +259,26 @@ void SpillTier::RecoverLocked() {
                            kSpillSuffix.size(), kSpillSuffix) != 0) {
         continue;  // the manifest, temp files, strangers
       }
+      const std::string path = dir_ + "/" + filename;
       std::string why;
-      std::optional<SpillFileInfo> info =
-          ReadSpillFileInfo(env_, dir_ + "/" + filename, &why);
-      if (!info.has_value()) {
+      std::optional<SpillFileHeader> header;
+      if (Result<uint64_t> size = env_->FileSize(path); !size.ok()) {
+        why = "unreadable (" + size.status().message() + ")";
+      } else {
+        // Only prefixes are read: checksums are verified on `Get`, when
+        // the payload is needed anyway.
+        header = DecodeSpillHeader(
+            *size, [&](size_t n) { return env_->ReadFilePrefix(path, n); },
+            &why);
+      }
+      if (!header.has_value()) {
         ++stats_.skipped_corrupt_files;
         CYCLERANK_LOG(kWarning) << "spill tier (" << what_
                                 << "): skipping spill file '" << filename
                                 << "' during recovery: " << why;
         continue;
       }
-      valid.emplace(filename, std::move(*info));
+      valid.emplace(filename, std::move(*header));
     }
   }
   // Pass 2: recency order — manifest-listed files first (hottest first),
@@ -296,7 +306,7 @@ void SpillTier::RecoverLocked() {
   }
   // Insert coldest-first so the front of the LRU ends up hottest.
   for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
-    SpillFileInfo& info = valid.at(*it);
+    const SpillFileHeader& info = valid.at(*it);
     if (lru_.Contains(info.key)) {
       ++stats_.skipped_corrupt_files;
       CYCLERANK_LOG(kWarning) << "spill tier (" << what_
@@ -335,8 +345,6 @@ Status SpillTier::Put(const std::string& key, SpillPayloadPtr payload,
     return Status::InvalidArgument("spill tier (" + what_ +
                                    "): null payload for '" + key + "'");
   }
-  if (!write_behind()) return PutSync(key, payload->Serialize(), meta);
-
   if (BreakerRejects()) {
     // Degraded to memory-only: don't buffer payloads destined for a dead
     // disk. The key is remembered as pruned so a later miss reports
@@ -395,51 +403,7 @@ Status SpillTier::Put(const std::string& key, SpillPayloadPtr payload,
 
 Status SpillTier::Put(const std::string& key, std::string_view payload,
                       uint64_t meta) {
-  if (!enabled_) {
-    return Status::FailedPrecondition("spill tier (" + what_ +
-                                      "): disabled (directory '" + dir_ +
-                                      "' could not be initialized)");
-  }
-  if (!write_behind()) return PutSync(key, payload, meta);
   return Put(key, MakeBytesSpillPayload(std::string(payload)), meta);
-}
-
-Status SpillTier::PutSync(const std::string& key, std::string_view raw,
-                          uint64_t meta) {
-  const std::string file = EncodeSpillFile(key, raw, meta);
-  MutexLock lock(mu_);
-  // Into the filter before any outcome: a rejected-oversize key becomes a
-  // pruned marker, and pruned lookups must fall through the filter to get
-  // their exact `kExpired` answer.
-  FilterAdd(key);
-  if (options_.max_bytes != 0 && file.size() > options_.max_bytes) {
-    // The entry cannot be demoted at all. Drop any older spill of the key
-    // (it is superseded either way) and remember the key as pruned, so
-    // lookups report disk-budget pressure instead of "never stored".
-    if (UnindexLocked(key).has_value()) RemoveFileLocked(key);
-    pruned_.Mark(key);
-    pruned_.Bound(kMaxPrunedMarkers);
-    WriteManifestLocked();
-    return Status::InvalidArgument(
-        "spill tier (" + what_ + "): '" + key + "' needs " +
-        std::to_string(file.size()) + " bytes on disk, larger than the " +
-        "entire spill budget of " + std::to_string(options_.max_bytes) +
-        " bytes");
-  }
-  const Status written = WriteSpillFile(key, file);
-  if (!written.ok()) {
-    // The new bytes never reached disk. An older spill of the key — still
-    // indexed — stays the last durable value; otherwise remember the key
-    // as pruned so lookups report the loss, not "never stored".
-    if (!lru_.Contains(key)) {
-      pruned_.Mark(key);
-      pruned_.Bound(kMaxPrunedMarkers);
-    }
-    return written;
-  }
-  IndexLocked(key, Info{meta, raw.size()}, file.size());
-  WriteManifestLocked();
-  return Status::OK();
 }
 
 void SpillTier::FlushWorker() {
@@ -467,10 +431,16 @@ void SpillTier::FlushWorker() {
       payload = it->second.payload;
       meta = it->second.meta;
       seq = it->second.seq;
+      flushing_ = true;
     }
     // Serialize + compress + write with no lock held — this is the whole
     // point of the write-behind tier.
     FlushOne(key, payload, meta, seq);
+    {
+      MutexLock lock(buffer_mu_);
+      flushing_ = false;
+    }
+    flushed_cv_.NotifyAll();
   }
 }
 
@@ -529,13 +499,11 @@ void SpillTier::FinishPending(const std::string& key, uint64_t seq,
     {
       MutexLock disk_lock(mu_);
       IndexLocked(key, info, file_bytes);
-      ++stats_.flushes;
     }
     pending_bytes_ -= it->second.approx_bytes;
     pending_.erase(it);
     lock.Unlock();
     drained_cv_.NotifyAll();
-    flushed_cv_.NotifyAll();
     // The manifest write is file IO: do it off buffer_mu_ so enqueues
     // never wait behind it.
     MutexLock disk_lock(mu_);
@@ -565,31 +533,6 @@ void SpillTier::DropPending(const std::string& key, uint64_t seq) {
     pending_.erase(it);
   }
   drained_cv_.NotifyAll();
-  flushed_cv_.NotifyAll();
-}
-
-std::string SpillTier::EncodeSpillFile(const std::string& key,
-                                       std::string_view raw,
-                                       uint64_t meta) const {
-  std::string file;
-  if (options_.compression) {
-    const std::string encoded = binio::CompressBlock(raw);
-    file.reserve(kFixedHeaderBytes + 32 + key.size() + encoded.size());
-    file.append(kSpillMagicV2);
-    binio::AppendU64(&file, meta);
-    binio::AppendU64(&file, binio::Fnv1a64(raw));
-    binio::AppendString(&file, key);
-    binio::AppendU64(&file, raw.size());
-    binio::AppendString(&file, encoded);
-  } else {
-    file.reserve(kFixedHeaderBytes + 16 + key.size() + raw.size());
-    file.append(kSpillMagicV1);
-    binio::AppendU64(&file, meta);
-    binio::AppendU64(&file, binio::Fnv1a64(raw));
-    binio::AppendString(&file, key);
-    binio::AppendString(&file, raw);
-  }
-  return file;
 }
 
 Status SpillTier::WriteSpillFile(const std::string& key,
@@ -722,27 +665,25 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
     return Status::NotFound("spill tier (" + what_ + "): no spill file for '" +
                             key + "'");
   }
-  if (write_behind()) {
-    SpillPayloadPtr buffered;
-    uint64_t buffered_meta = 0;
-    {
-      MutexLock lock(buffer_mu_);
-      auto it = pending_.find(key);
-      if (it != pending_.end()) {
-        buffered = it->second.payload;
-        buffered_meta = it->second.meta;
-      }
+  SpillPayloadPtr buffered;
+  uint64_t buffered_meta = 0;
+  {
+    MutexLock lock(buffer_mu_);
+    auto it = pending_.find(key);
+    if (it != pending_.end()) {
+      buffered = it->second.payload;
+      buffered_meta = it->second.meta;
     }
-    if (buffered != nullptr) {
-      // Read-your-write: the entry has not reached disk yet but is fully
-      // visible. Serialize outside buffer_mu_ — the shared_ptr keeps the
-      // payload alive even if it is erased or flushed meanwhile.
-      buffer_hits_.fetch_add(1, std::memory_order_relaxed);
-      Loaded loaded;
-      loaded.meta = buffered_meta;
-      loaded.payload = buffered->Serialize();
-      return loaded;
-    }
+  }
+  if (buffered != nullptr) {
+    // Read-your-write: the entry has not reached disk yet but is fully
+    // visible. Serialize outside buffer_mu_ — the shared_ptr keeps the
+    // payload alive even if it is erased or flushed meanwhile.
+    buffer_hits_.fetch_add(1, std::memory_order_relaxed);
+    Loaded loaded;
+    loaded.meta = buffered_meta;
+    loaded.payload = buffered->Serialize();
+    return loaded;
   }
   MutexLock lock(mu_);
   Info* info = lru_.Touch(key);
@@ -783,38 +724,26 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
     return Status::IOError("spill tier (" + what_ + "): spill file for '" +
                            key + "' is corrupt (" + why + ")");
   };
-  const std::string_view magic =
-      std::string_view(file).substr(0, std::min(file.size(), kMagicBytes));
-  const bool v2 = magic == kSpillMagicV2;
-  if (!v2 && magic != kSpillMagicV1) return corrupt("bad magic");
-  binio::Reader reader(std::string_view(file).substr(kMagicBytes));
+  std::string why;
+  const std::optional<SpillFileHeader> header = DecodeSpillHeader(
+      file.size(),
+      [&](size_t n) -> Result<std::string> { return file.substr(0, n); },
+      &why);
+  if (!header.has_value()) return corrupt(why);
+  if (header->key != key) {
+    return corrupt("embedded key '" + header->key + "' does not match");
+  }
+  const std::string_view body =
+      std::string_view(file).substr(header->body_offset);
   Loaded loaded;
-  uint64_t checksum = 0;
-  std::string stored_key;
-  if (!reader.ReadU64(&loaded.meta) || !reader.ReadU64(&checksum) ||
-      !reader.ReadString(&stored_key)) {
-    return corrupt("truncated");
+  loaded.meta = header->meta;
+  if (!header->compressed) {
+    loaded.payload.assign(body);
+  } else if (!binio::DecompressBlock(body, &loaded.payload) ||
+             loaded.payload.size() != header->raw_bytes) {
+    return corrupt("compressed payload does not decode");
   }
-  if (v2) {
-    uint64_t raw_len = 0;
-    std::string encoded;
-    if (!reader.ReadU64(&raw_len) || !reader.ReadString(&encoded) ||
-        !reader.AtEnd()) {
-      return corrupt("truncated");
-    }
-    if (!binio::DecompressBlock(encoded, &loaded.payload) ||
-        loaded.payload.size() != raw_len) {
-      return corrupt("compressed payload does not decode");
-    }
-  } else {
-    if (!reader.ReadString(&loaded.payload) || !reader.AtEnd()) {
-      return corrupt("truncated");
-    }
-  }
-  if (stored_key != key) {
-    return corrupt("embedded key '" + stored_key + "' does not match");
-  }
-  if (binio::Fnv1a64(loaded.payload) != checksum) {
+  if (binio::Fnv1a64(loaded.payload) != header->checksum) {
     return corrupt("payload checksum mismatch");
   }
   ++stats_.reloads;
@@ -899,11 +828,10 @@ size_t SpillTier::ErasePrefix(const std::string& prefix) {
 }
 
 Status SpillTier::Flush() {
-  if (!write_behind()) return Status::OK();
   {
     MutexLock lock(buffer_mu_);
     flushed_cv_.Wait(buffer_mu_, [&]() CYR_REQUIRES(buffer_mu_) {
-      return pending_.empty();
+      return pending_.empty() && !flushing_;
     });
   }
   MutexLock lock(mu_);

@@ -30,8 +30,7 @@ class Env;
 
 /// Occupancy and effectiveness counters of a `SpillTier`.
 struct SpillTierStats {
-  uint64_t spills = 0;   ///< entries persisted to disk (sync or flushed)
-  uint64_t flushes = 0;  ///< background write-behind flushes completed
+  uint64_t spills = 0;   ///< entries the flush thread persisted to disk
   uint64_t reloads = 0;  ///< `Get` calls served from disk
   uint64_t buffer_hits = 0;  ///< `Get` calls served from the write-behind
                              ///< buffer before the entry reached disk
@@ -66,17 +65,13 @@ struct SpillTierOptions {
   /// Disk byte budget (on-disk file bytes); 0 = unbounded.
   size_t max_bytes = 0;
 
-  /// Byte bound of the in-memory write-behind buffer. 0 makes `Put`
-  /// synchronous (serialize + write + rename inline, the PR-5 behavior);
-  /// non-zero makes `Put` enqueue the still-live payload and return, with
-  /// a dedicated background thread doing the serialize/compress/write off
-  /// the caller's lock. Past the bound, `Put` blocks until the flusher
-  /// drains (backpressure) — the buffer can never grow without limit.
-  size_t write_behind_bytes = 0;
-
-  /// Compress payloads on disk (the v2 spill framing). Off writes the
-  /// PR-5 uncompressed v1 framing; reads always accept both.
-  bool compression = true;
+  /// Byte bound of the in-memory write-behind buffer. `Put` enqueues the
+  /// still-live payload and returns; a dedicated background thread does
+  /// the serialize/compress/write off the caller's lock. Past the bound,
+  /// `Put` blocks until the flusher drains (backpressure) — the buffer can
+  /// never grow without limit. A payload larger than the bound is admitted
+  /// alone.
+  size_t write_behind_bytes = 32u << 20;  // 32 MiB
 
   /// Filesystem used for every disk operation; nullptr = `Env::Default()`
   /// (the real filesystem). Tests substitute a `FaultInjectingEnv`.
@@ -124,18 +119,20 @@ SpillPayloadPtr MakeBytesSpillPayload(std::string bytes);
 ///            (read-your-write)      serialize → compress →
 ///                                   checksum → tmp → rename
 ///
-/// - **Write-behind**: with `write_behind_bytes` set, `Put` enqueues the
-///   still-live payload and returns — eviction stops paying for
-///   serialization and file IO under the owning store's lock. Reads check
-///   the buffer before disk, so an entry is never invisible between
-///   enqueue and flush; destruction drains the buffer (nothing enqueued is
-///   ever lost to a clean shutdown) and `Flush()` is an explicit barrier.
-///   Past the byte bound `Put` blocks until the flusher catches up.
-/// - **Compression**: payloads are block-compressed on disk (v2 framing,
+/// - **Write-behind** (the only `Put` path): `Put` enqueues the still-live
+///   payload and returns — eviction never pays for serialization and file
+///   IO under the owning store's lock. Reads check the buffer before disk,
+///   so an entry is never invisible between enqueue and flush; destruction
+///   drains the buffer (nothing enqueued is ever lost to a clean shutdown)
+///   and `Flush()` is the durability barrier: an entry is on disk once
+///   `Put` and a later `Flush()` both returned OK. Past the
+///   `write_behind_bytes` bound `Put` blocks until the flusher catches up.
+/// - **Compression**: every file is written block-compressed (v2 framing,
 ///   `binio::CompressBlock`) with the checksum still computed over the
 ///   *raw* payload — bit-rot detection is unchanged, and a corrupt
 ///   compressed block degrades to a miss exactly like a checksum mismatch.
-///   v1 (PR-5, uncompressed) files load transparently forever.
+///   v1 (uncompressed) files are no longer written but load transparently
+///   forever.
 /// - **Key filter**: a lock-free Bloom filter over every key ever stored
 ///   (rebuilt from the recovery scan at construction) answers "definitely
 ///   not on disk" without taking the tier lock or touching the filesystem
@@ -192,14 +189,6 @@ class SpillTier {
   /// degrades to drop-on-evict instead of crashing.
   SpillTier(std::string dir, SpillTierOptions options, std::string what);
 
-  /// PR-5-shaped convenience: synchronous `Put`, uncompressed (v1) files —
-  /// the exact historical behavior, kept for tests and simple callers.
-  SpillTier(std::string dir, size_t max_bytes, std::string what)
-      : SpillTier(std::move(dir),
-                  SpillTierOptions{max_bytes, /*write_behind_bytes=*/0,
-                                   /*compression=*/false},
-                  std::move(what)) {}
-
   SpillTier(const SpillTier&) = delete;
   SpillTier& operator=(const SpillTier&) = delete;
 
@@ -210,13 +199,11 @@ class SpillTier {
   /// False when the directory could not be initialized.
   bool enabled() const { return enabled_; }
 
-  /// Persists `payload` under `key` (overwriting any previous spill of the
-  /// key). Synchronous mode serializes, writes, and prunes inline, and a
-  /// payload whose file alone exceeds the whole budget is rejected with
-  /// `kInvalidArgument` and the key marked pruned. Write-behind mode
-  /// enqueues and returns `OK`; serialization, the oversize check, and
-  /// pruning all happen on the flush thread (an oversize entry is marked
-  /// pruned there, with a logged warning).
+  /// Enqueues `payload` under `key` (superseding any previous spill of the
+  /// key) and returns `OK`; serialization, the oversize check, the write,
+  /// and pruning all happen on the flush thread. An entry whose file alone
+  /// exceeds the whole budget is marked pruned there, with a logged
+  /// warning; a write that fails is reported by the next `Flush()`.
   Status Put(const std::string& key, SpillPayloadPtr payload,
              uint64_t meta = 0) CYR_EXCLUDES(buffer_mu_, mu_);
 
@@ -266,13 +253,13 @@ class SpillTier {
   size_t ErasePrefix(const std::string& prefix)
       CYR_EXCLUDES(buffer_mu_, mu_);
 
-  /// Blocks until every buffered write has reached disk or been dropped —
-  /// the barrier for tests, shutdown, and anything that needs durability
-  /// now. Returns OK when everything drained to disk; otherwise an error
+  /// Blocks until every buffered write has reached disk or been dropped
+  /// and the flush thread is idle (manifest rewrite included, so no `Env`
+  /// call of the tier is still in flight) — the barrier for tests,
+  /// shutdown, and anything that needs durability now. Returns OK when everything drained to disk; otherwise an error
   /// naming how many payloads were lost since the last `Flush()` report
   /// (each loss is also marked pruned and counted in `flush_failures`).
-  /// A no-op in synchronous mode. Must not be called while flushing is
-  /// paused.
+  /// Must not be called while flushing is paused.
   Status Flush() CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Test hook: true stalls the flush thread (entries stay buffered and
@@ -308,16 +295,9 @@ class SpillTier {
     bool queued = false;  ///< present in flush_queue_
   };
 
-  bool write_behind() const { return options_.write_behind_bytes != 0; }
-
   /// Scans `dir_` for spill files, seeds the LRU from the manifest, and
   /// prunes past the budget; requires `mu_`.
   void RecoverLocked() CYR_REQUIRES(mu_);
-
-  /// The synchronous (PR-5-shaped) Put: encode, oversize check, write,
-  /// index, manifest — all before returning.
-  Status PutSync(const std::string& key, std::string_view raw, uint64_t meta)
-      CYR_EXCLUDES(mu_);
 
   /// The flush thread's main loop: pop → serialize → encode → write →
   /// index, until stopped and drained.
@@ -338,11 +318,6 @@ class SpillTier {
   /// indexing anything (failed or oversize flush), waking waiters.
   void DropPending(const std::string& key, uint64_t seq)
       CYR_EXCLUDES(buffer_mu_, mu_);
-
-  /// Encodes the on-disk file image (header + optionally compressed
-  /// payload) for `key`; no locks required.
-  std::string EncodeSpillFile(const std::string& key, std::string_view raw,
-                              uint64_t meta) const;
 
   /// Writes `file` to `key`'s path via tmp + rename, under the retry /
   /// circuit-breaker policy (`GuardedIo`).
@@ -418,6 +393,9 @@ class SpillTier {
   uint64_t next_seq_ CYR_GUARDED_BY(buffer_mu_) = 0;
   uint64_t backpressure_waits_ CYR_GUARDED_BY(buffer_mu_) = 0;
   bool flush_paused_ CYR_GUARDED_BY(buffer_mu_) = false;
+  /// The flush thread is writing an entry it popped (its file, index
+  /// insert, and manifest), so `Flush()` must keep waiting.
+  bool flushing_ CYR_GUARDED_BY(buffer_mu_) = false;
   bool stop_ CYR_GUARDED_BY(buffer_mu_) = false;
   // Started in the constructor, joined in the destructor; never touched
   // while another thread can see the tier — not guarded.
@@ -438,9 +416,9 @@ class SpillTier {
   uint64_t unreported_flush_failures_ CYR_GUARDED_BY(mu_) = 0;
   Status last_flush_error_ CYR_GUARDED_BY(mu_);
 
-  // Circuit-breaker state; guarded by breaker_mu_ (taken under mu_ in the
-  // sync paths — kSpillIndexMu < kSpillBreakerMu — and standalone on the
-  // flush thread; released around the actual Env call).
+  // Circuit-breaker state; guarded by breaker_mu_ (taken under mu_ by
+  // Get's disk read — kSpillIndexMu < kSpillBreakerMu — and standalone on
+  // the flush thread; released around the actual Env call).
   mutable Mutex breaker_mu_{lock_rank::kSpillBreakerMu,
                             "SpillTier::breaker_mu_"};
   bool breaker_open_ CYR_GUARDED_BY(breaker_mu_) = false;

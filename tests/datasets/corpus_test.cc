@@ -156,8 +156,8 @@ TEST(AmazonMiniTest, CycleRankFellowshipMatchesPaper) {
 TEST(AmazonMiniTest, PprFellowshipShowsHarryPotterPathology) {
   // Paper order: Silmarillion, Hobbit, HP1, HP2, Return of the King. Our
   // miniature reproduces the *set* and the pathology (HP books inside the
-  // PPR top-5, excluded from CycleRank); the within-set order differs and
-  // is documented in EXPERIMENTS.md.
+  // PPR top-5, excluded from CycleRank); the within-set order differs, so
+  // only the set is checked.
   const Graph g = AmazonBooksMini().value();
   const NodeId ref = g.FindNode("The Fellowship of the Ring");
   PageRankOptions options;

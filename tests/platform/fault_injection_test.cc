@@ -33,8 +33,9 @@ namespace {
 
 using Kind = EnvFault::Kind;
 
-/// Spill-tier options wired to `env` with test-friendly failure knobs:
-/// synchronous puts, no retry sleep, a probe on every post-trip operation.
+/// Spill-tier options wired to `env` with test-friendly failure knobs: no
+/// retry sleep, a probe on every post-trip operation. A write counts as
+/// acknowledged when `PutAndFlush` (Put, then the Flush barrier) is OK.
 SpillTierOptions FaultyTierOptions(Env* env, int retry_limit) {
   SpillTierOptions options;
   options.env = env;
@@ -55,7 +56,7 @@ TEST(FaultInjectionTest, TransientWriteFaultIsRetriedInvisibly) {
   // data files — the manifest is best-effort and unscheduled here.)
   env.AddFault({Kind::kTransient, EnvOp::kWrite, ".spill", 1});
 
-  ASSERT_TRUE(tier.Put("k", "payload-bytes", 7).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", "payload-bytes", 7).ok());
   EXPECT_EQ(tier.stats().retries, 1u);
   EXPECT_EQ(tier.stats().retry_exhausted, 0u);
   EXPECT_EQ(tier.stats().breaker_trips, 0u);
@@ -71,7 +72,7 @@ TEST(FaultInjectionTest, TransientReadFaultIsRetriedInvisibly) {
   FaultInjectingEnv env(Env::Default());
   SpillTier tier(FreshSpillDir("fi_transient_read"),
                  FaultyTierOptions(&env, 3), "dataset");
-  ASSERT_TRUE(tier.Put("k", "payload-bytes").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", "payload-bytes").ok());
   env.AddFault({Kind::kTransient, EnvOp::kRead, ".spill", 1});
 
   const auto loaded = tier.Get("k");
@@ -86,7 +87,7 @@ TEST(FaultInjectionTest, FailedReadKeepsTheEntryIntact) {
   // No retries: the first injected read error surfaces to the caller.
   SpillTier tier(FreshSpillDir("fi_read_keeps"), FaultyTierOptions(&env, 0),
                  "dataset");
-  ASSERT_TRUE(tier.Put("k", "precious").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", "precious").ok());
   env.AddFault({Kind::kTransient, EnvOp::kRead, ".spill", 1});
 
   EXPECT_FALSE(tier.Get("k").ok());  // error surfaced...
@@ -107,10 +108,10 @@ TEST(FaultInjectionTest, PersistentFailureTripsBreakerAndFastFails) {
   SpillTierOptions options = FaultyTierOptions(&env, /*retry_limit=*/2);
   options.breaker_probe_ms = 60'000;  // no probe within this test
   SpillTier tier(FreshSpillDir("fi_breaker_trip"), options, "dataset");
-  ASSERT_TRUE(tier.Put("a", "alpha").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "a", "alpha").ok());
 
   env.AddFault({Kind::kPersistent, EnvOp::kWrite, ".spill", 1});
-  const Status failed = tier.Put("b", "bravo");
+  const Status failed = PutAndFlush(tier, "b", "bravo");
   EXPECT_EQ(failed.code(), StatusCode::kIOError);  // the injected error
   {
     const SpillTierStats stats = tier.stats();
@@ -140,10 +141,10 @@ TEST(FaultInjectionTest, BreakerProbeRecoversOnceTheFaultClears) {
   FaultInjectingEnv env(Env::Default());
   SpillTier tier(FreshSpillDir("fi_breaker_heal"),
                  FaultyTierOptions(&env, /*retry_limit=*/0), "dataset");
-  ASSERT_TRUE(tier.Put("a", "alpha").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "a", "alpha").ok());
 
   env.AddFault({Kind::kPersistent, EnvOp::kWrite, ".spill", 1});
-  EXPECT_FALSE(tier.Put("b", "bravo").ok());
+  EXPECT_FALSE(PutAndFlush(tier, "b", "bravo").ok());
   EXPECT_TRUE(tier.stats().breaker_open);
 
   env.ClearFaults();  // the disk heals
@@ -158,7 +159,7 @@ TEST(FaultInjectionTest, BreakerProbeRecoversOnceTheFaultClears) {
     EXPECT_GE(stats.breaker_probes, 1u);
     EXPECT_EQ(stats.breaker_recoveries, 1u);
   }
-  ASSERT_TRUE(tier.Put("c", "charlie").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "c", "charlie").ok());
   EXPECT_EQ(tier.Get("c")->payload, "charlie");
 }
 
@@ -166,9 +167,8 @@ TEST(FaultInjectionTest, BreakerProbeRecoversOnceTheFaultClears) {
 
 TEST(FaultInjectionTest, FlushThreadFailureSurfacesFromFlush) {
   FaultInjectingEnv env(Env::Default());
-  SpillTierOptions options = FaultyTierOptions(&env, /*retry_limit=*/0);
-  options.write_behind_bytes = 1 << 20;
-  SpillTier tier(FreshSpillDir("fi_flush_error"), options, "dataset");
+  SpillTier tier(FreshSpillDir("fi_flush_error"),
+                 FaultyTierOptions(&env, /*retry_limit=*/0), "dataset");
 
   env.AddFault({Kind::kPersistent, EnvOp::kWrite, ".spill", 1});
   ASSERT_TRUE(tier.Put("k", "doomed-bytes").ok());  // buffered fine
@@ -236,12 +236,12 @@ TEST(FaultInjectionTest, EnospcMidRunRestartRecoversSurvivors) {
     options.breaker_probe_ms = 60'000;
     SpillTier tier(dir, options, "dataset");
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(tier.Put("k" + std::to_string(i),
-                           "payload-" + std::to_string(i))
+      ASSERT_TRUE(PutAndFlush(tier, "k" + std::to_string(i),
+                              "payload-" + std::to_string(i))
                       .ok());
     }
     env.AddFault({Kind::kPersistent, EnvOp::kWrite, ".spill", 1});  // ENOSPC
-    EXPECT_FALSE(tier.Put("k5", "payload-5").ok());
+    EXPECT_FALSE(PutAndFlush(tier, "k5", "payload-5").ok());
   }  // process "dies" mid-incident; only the directory survives
 
   // Restart against a healthy disk: every pre-incident entry is back,
@@ -279,7 +279,7 @@ TEST(FaultInjectionTest, CrashAtEveryOperationRecoversCleanly) {
         const std::string key = "k" + std::to_string(i);
         const std::string payload =
             "payload-" + std::to_string(i) + "-" + std::to_string(nth);
-        if (tier.Put(key, payload).ok()) acknowledged[key] = payload;
+        if (PutAndFlush(tier, key, payload).ok()) acknowledged[key] = payload;
       }
       swept_past_the_end = !env.crashed();
     }
@@ -308,7 +308,7 @@ TEST(FaultInjectionTest, TornTmpWriteNeverBecomesVisible) {
     FaultInjectingEnv env(Env::Default());
     SpillTier tier(dir, FaultyTierOptions(&env, 0), "dataset");
     env.AddFault({Kind::kTornWrite, EnvOp::kWrite, ".spill", 1});
-    EXPECT_FALSE(tier.Put("k", "half-of-me-reaches-disk").ok());
+    EXPECT_FALSE(PutAndFlush(tier, "k", "half-of-me-reaches-disk").ok());
   }
   // The torn bytes went to the ".spill.tmp" name, which recovery ignores;
   // the entry was never renamed into visibility.
@@ -325,7 +325,7 @@ TEST(FaultInjectionTest, TornManifestWriteDoesNotLoseEntries) {
     SpillTier tier(dir, FaultyTierOptions(&env, 0), "dataset");
     env.AddFault({Kind::kTornWrite, EnvOp::kWrite, "manifest", 1});
     // The data file lands; only the (best-effort) manifest write tears.
-    ASSERT_TRUE(tier.Put("k", "manifest-independent").ok());
+    ASSERT_TRUE(PutAndFlush(tier, "k", "manifest-independent").ok());
   }
   // Recovery treats the manifest as advisory: the unlisted-but-valid file
   // is appended as a straggler.
@@ -342,7 +342,7 @@ TEST(FaultInjectionTest, RenameFailureRetriesTheWholeWriteUnit) {
 
   // tmp write succeeds, the rename fails once: the retry re-runs the
   // whole tmp-write + rename unit and the Put still succeeds.
-  ASSERT_TRUE(tier.Put("k", "renamed-on-retry").ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", "renamed-on-retry").ok());
   EXPECT_GE(tier.stats().retries, 1u);
   EXPECT_EQ(tier.Get("k")->payload, "renamed-on-retry");
 }
@@ -357,27 +357,37 @@ uint64_t ChurnSeed() {
   return static_cast<uint64_t>(std::strtoull(raw, nullptr, 10));
 }
 
+/// The seeded churn scenario: 200 writes over 17 keys while a quarter of
+/// the mutating disk calls fail, each write followed by a read of its key.
+/// `*truth` gets, per key, the last payload whose write was acknowledged —
+/// the only bytes a later Get is allowed to serve — and every read is
+/// checked against it on the way. Every mutating `Env` call runs on the
+/// flush thread, one entry at a time between `Flush()` barriers, so the
+/// fault sequence depends only on the seed.
+void RunFaultChurn(SpillTier& tier, FaultInjectingEnv& env, uint64_t seed,
+                   std::map<std::string, std::string>* truth) {
+  env.SetRandomFaultRate(0.25);
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "k" + std::to_string(i % 17);
+    const std::string payload =
+        "payload-" + std::to_string(i) + "-seed" + std::to_string(seed);
+    if (PutAndFlush(tier, key, payload).ok()) (*truth)[key] = payload;
+    const auto got = tier.Get(key);
+    if (got.ok() && truth->count(key) != 0) {
+      ASSERT_EQ(got->payload, truth->at(key)) << "iteration " << i;
+    }
+  }
+}
+
 TEST(FaultInjectionTest, RandomFaultChurnNeverServesWrongBytes) {
   const uint64_t seed = ChurnSeed();
   SCOPED_TRACE("CYCLERANK_FAULT_SEED=" + std::to_string(seed));
   FaultInjectingEnv env(Env::Default(), seed);
   const std::string dir = FreshSpillDir("fi_churn");
   SpillTier tier(dir, FaultyTierOptions(&env, /*retry_limit=*/1), "dataset");
-  env.SetRandomFaultRate(0.25);
 
-  // `truth` holds, per key, the last payload whose Put was acknowledged —
-  // the only bytes a later Get is allowed to serve.
   std::map<std::string, std::string> truth;
-  for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i % 17);
-    const std::string payload =
-        "payload-" + std::to_string(i) + "-seed" + std::to_string(seed);
-    if (tier.Put(key, payload).ok()) truth[key] = payload;
-    const auto got = tier.Get(key);
-    if (got.ok() && truth.count(key) != 0) {
-      ASSERT_EQ(got->payload, truth[key]) << "iteration " << i;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(RunFaultChurn(tier, env, seed, &truth));
   // Failed writes are whole-unit failures (tmp + rename), never torn
   // visible files — nothing should ever have read as corrupt.
   EXPECT_EQ(tier.stats().skipped_corrupt_files, 0u);
@@ -396,6 +406,25 @@ TEST(FaultInjectionTest, RandomFaultChurnNeverServesWrongBytes) {
   for (const auto& [key, payload] : truth) {
     EXPECT_EQ(revived.Get(key)->payload, payload) << key;
   }
+}
+
+TEST(FaultInjectionTest, RandomFaultChurnReplaysIdenticallyPerSeed) {
+  // A red CYCLERANK_FAULT_SEED must reproduce: the same seed injects the
+  // same faults and acknowledges the same writes, run after run.
+  const uint64_t seed = ChurnSeed();
+  SCOPED_TRACE("CYCLERANK_FAULT_SEED=" + std::to_string(seed));
+  std::map<std::string, std::string> acknowledged[2];
+  uint64_t injected[2] = {0, 0};
+  for (int run = 0; run < 2; ++run) {
+    FaultInjectingEnv env(Env::Default(), seed);
+    SpillTier tier(FreshSpillDir("fi_churn_replay_" + std::to_string(run)),
+                   FaultyTierOptions(&env, /*retry_limit=*/1), "dataset");
+    ASSERT_NO_FATAL_FAILURE(RunFaultChurn(tier, env, seed, &acknowledged[run]));
+    injected[run] = env.stats().injected;
+  }
+  EXPECT_GT(injected[0], 0u);  // the scenario really injected faults
+  EXPECT_EQ(injected[0], injected[1]);
+  EXPECT_EQ(acknowledged[0], acknowledged[1]);
 }
 
 // ------------------------------------------------- overload control ----

@@ -151,7 +151,7 @@ TEST(GraphStoreTest, StatsCountHitsAndMisses) {
 
 TEST(GraphStoreSpillTest, EvictionDemotesToDiskAndGetReloads) {
   const GraphPtr graph = ChainGraph(100);
-  SpillTier spill(FreshSpillDir("gs_demote"), 0, "dataset");
+  SpillTier spill(FreshSpillDir("gs_demote"), SpillTierOptions{}, "dataset");
   GraphStore store(graph->MemoryBytes(), &spill);
   ASSERT_TRUE(store.Put("a", graph).ok());
   const uint64_t gen_a = store.Generation("a");
@@ -174,7 +174,7 @@ TEST(GraphStoreSpillTest, EvictionDemotesToDiskAndGetReloads) {
 
 TEST(GraphStoreSpillTest, DiskResidentNameCountsAsUploaded) {
   const GraphPtr graph = ChainGraph(100);
-  SpillTier spill(FreshSpillDir("gs_resident"), 0, "dataset");
+  SpillTier spill(FreshSpillDir("gs_resident"), SpillTierOptions{}, "dataset");
   GraphStore store(graph->MemoryBytes(), &spill);
   ASSERT_TRUE(store.Put("a", graph).ok());
   ASSERT_TRUE(store.Put("b", ChainGraph(100)).ok());  // "a" → disk
@@ -189,13 +189,24 @@ TEST(GraphStoreSpillTest, DiskResidentNameCountsAsUploaded) {
 TEST(GraphStoreSpillTest, PrunedSpillExpiresWithAPrunedMessage) {
   const GraphPtr graph = ChainGraph(100);
   // The disk tier holds exactly one spilled graph: the second demotion
-  // prunes the first.
-  SpillTier spill(FreshSpillDir("gs_pruned"),
-                  graph->Serialize().size() + 200, "dataset");
+  // prunes the first. The budget is the measured size of one spill file
+  // (every graph here has the same bytes and a one-letter key).
+  size_t one_file_bytes = 0;
+  {
+    SpillTier probe(FreshSpillDir("gs_pruned_probe"), SpillTierOptions{},
+                    "dataset");
+    ASSERT_TRUE(PutAndFlush(probe, "a", graph->Serialize()).ok());
+    one_file_bytes = probe.stats().bytes;
+  }
+  SpillTierOptions budget;
+  budget.max_bytes = one_file_bytes;
+  SpillTier spill(FreshSpillDir("gs_pruned"), budget, "dataset");
   GraphStore store(graph->MemoryBytes(), &spill);
   ASSERT_TRUE(store.Put("a", graph).ok());
   ASSERT_TRUE(store.Put("b", ChainGraph(100)).ok());  // "a" → disk
   ASSERT_TRUE(store.Put("c", ChainGraph(100)).ok());  // "b" → disk, "a" pruned
+  ASSERT_TRUE(spill.Flush().ok());
+  EXPECT_EQ(spill.stats().prunes, 1u);
   const Status pruned = store.Get("a").status();
   EXPECT_EQ(pruned.code(), StatusCode::kExpired);
   EXPECT_NE(pruned.message().find("pruned"), std::string::npos);
@@ -208,7 +219,7 @@ TEST(GraphStoreSpillTest, GenerationCounterResumesPastRecoveredBindings) {
   const GraphPtr graph = ChainGraph(100);
   uint64_t spilled_generation = 0;
   {
-    SpillTier spill(dir, 0, "dataset");
+    SpillTier spill(dir, SpillTierOptions{}, "dataset");
     GraphStore store(graph->MemoryBytes(), &spill);
     ASSERT_TRUE(store.Put("a", graph).ok());
     ASSERT_TRUE(store.Put("b", ChainGraph(100)).ok());  // "a" → disk
@@ -218,7 +229,7 @@ TEST(GraphStoreSpillTest, GenerationCounterResumesPastRecoveredBindings) {
   // "Restart": a fresh store over the same directory. The recovered
   // binding keeps its generation, and new uploads get strictly larger
   // ones — fingerprints can never collide across the restart.
-  SpillTier spill(dir, 0, "dataset");
+  SpillTier spill(dir, SpillTierOptions{}, "dataset");
   GraphStore store(graph->MemoryBytes(), &spill);
   EXPECT_EQ(store.Generation("a"), spilled_generation);
   ASSERT_TRUE(store.Put("fresh", ChainGraph(50)).ok());
@@ -356,7 +367,7 @@ TEST(GraphStoreShardedTest, EvictionDropsTheViewsWithTheSlot) {
 
 TEST(GraphStoreShardedSpillTest, ReloadedDatasetStartsWithNoViews) {
   const GraphPtr graph = ChainGraph(100);
-  SpillTier spill(FreshSpillDir("gs_sharded_spill"), 0, "dataset");
+  SpillTier spill(FreshSpillDir("gs_sharded_spill"), SpillTierOptions{}, "dataset");
   // One graph + one view fit (so the view gets cached); the second graph
   // overflows and demotes "a" to disk.
   GraphStore store(2 * graph->MemoryBytes() + ViewBytes(graph, 2) - 1,

@@ -1,6 +1,10 @@
 #include "platform/platform_options.h"
 
+#include <string_view>
+
 #include <gtest/gtest.h>
+
+#include "common/status.h"
 
 namespace cyclerank {
 namespace {
@@ -20,7 +24,6 @@ TEST(PlatformOptionsTest, EmptyStringYieldsDefaults) {
   EXPECT_EQ(parsed.graph_spill_bytes, 0u);
   EXPECT_EQ(parsed.result_spill_bytes, 0u);
   EXPECT_EQ(parsed.spill_write_behind_bytes, 32u << 20);
-  EXPECT_TRUE(parsed.spill_compression);
 }
 
 TEST(PlatformOptionsTest, ParsesEveryKnob) {
@@ -31,7 +34,7 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
           "num_shards=3, uuid_seed=99, max_tasks_per_submission=16, "
           "spill_dir=/tmp/spill, graph_spill_bytes=4000, "
           "result_spill_bytes=5000, spill_write_behind_bytes=6000, "
-          "spill_compression=false")
+          "spill_compression=true")
           .value();
   EXPECT_EQ(parsed.graph_store_bytes, 1000u);
   EXPECT_EQ(parsed.result_cache_bytes, 2000u);
@@ -45,7 +48,6 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
   EXPECT_EQ(parsed.graph_spill_bytes, 4000u);
   EXPECT_EQ(parsed.result_spill_bytes, 5000u);
   EXPECT_EQ(parsed.spill_write_behind_bytes, 6000u);
-  EXPECT_FALSE(parsed.spill_compression);
 }
 
 TEST(PlatformOptionsTest, KeysAreCaseInsensitiveAndWhitespaceTolerant) {
@@ -88,8 +90,7 @@ TEST(PlatformOptionsTest, RoundTripsThroughToString) {
   options.spill_dir = "/var/tmp/cyclerank-spill";
   options.graph_spill_bytes = 1u << 20;
   options.result_spill_bytes = 2u << 20;
-  options.spill_write_behind_bytes = 0;  // synchronous spilling
-  options.spill_compression = false;
+  options.spill_write_behind_bytes = 64u << 10;
   const PlatformOptions reparsed =
       PlatformOptions::FromString(options.ToString()).value();
   EXPECT_EQ(reparsed, options);
@@ -147,32 +148,83 @@ TEST(PlatformOptionsTest, SpillKnobsParse) {
   EXPECT_EQ(PlatformOptions::FromString("spill_dir=").value().spill_dir, "");
 }
 
+/// Expects `text` to be rejected with `code` and a message naming `key`.
+void ExpectRejected(std::string_view text, StatusCode code,
+                    std::string_view key) {
+  const auto parsed = PlatformOptions::FromString(text);
+  ASSERT_FALSE(parsed.ok()) << text;
+  EXPECT_EQ(parsed.status().code(), code) << text;
+  EXPECT_NE(parsed.status().message().find(key), std::string::npos)
+      << parsed.status().message();
+}
+
 TEST(PlatformOptionsTest, LsmKnobsParse) {
-  // The write-behind bound takes byte suffixes; 0 means synchronous.
+  // The write-behind bound takes byte suffixes. 0 would ask for the
+  // removed synchronous mode: rejected, pointing at the barrier to use.
   EXPECT_EQ(PlatformOptions::FromString("spill_write_behind_bytes=8m")
                 .value()
                 .spill_write_behind_bytes,
             8u << 20);
-  EXPECT_EQ(PlatformOptions::FromString("spill_write_behind_bytes=0")
-                .value()
-                .spill_write_behind_bytes,
-            0u);
-  // Compression accepts the usual boolean spellings, case-insensitively.
-  EXPECT_TRUE(PlatformOptions::FromString("spill_compression=TRUE")
-                  .value()
-                  .spill_compression);
-  EXPECT_TRUE(
-      PlatformOptions::FromString("spill_compression=1").value().spill_compression);
-  EXPECT_FALSE(PlatformOptions::FromString("spill_compression=false")
-                   .value()
-                   .spill_compression);
-  EXPECT_FALSE(
-      PlatformOptions::FromString("spill_compression=0").value().spill_compression);
-  const auto bad = PlatformOptions::FromString("spill_compression=maybe");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("spill_compression"),
+  ExpectRejected("spill_write_behind_bytes=0", StatusCode::kInvalidArgument,
+                 "spill_write_behind_bytes");
+  EXPECT_NE(PlatformOptions::FromString("spill_write_behind_bytes=0")
+                .status()
+                .message()
+                .find("Datastore::Flush()"),
             std::string::npos);
+  // Spill files are always compressed: true/1 (any case) are accepted as
+  // no-ops, false/0 are rejected, anything else is a parse error.
+  EXPECT_EQ(PlatformOptions::FromString("spill_compression=TRUE").value(),
+            PlatformOptions{});
+  EXPECT_EQ(PlatformOptions::FromString("spill_compression=1").value(),
+            PlatformOptions{});
+  ExpectRejected("spill_compression=false", StatusCode::kInvalidArgument,
+                 "spill_compression");
+  ExpectRejected("spill_compression=0", StatusCode::kInvalidArgument,
+                 "spill_compression");
+  ExpectRejected("spill_compression=maybe", StatusCode::kParseError,
+                 "spill_compression");
   EXPECT_FALSE(PlatformOptions::FromString("spill_write_behind_bytes=-1").ok());
+}
+
+TEST(PlatformOptionsTest, AcceptsTheEndToEndBenchmarkDaemonOptions) {
+  // The option string e2ebench/workloads.cc hands to cyclerankd (upload
+  // churn shape). The benchmark's files are frozen, so these keys and
+  // values must keep parsing.
+  const auto parsed = PlatformOptions::FromString(
+      "admission_queue_limit=64, default_deadline_ms=0, default_threads=1, "
+      "io_threads=2, listen_port=0, max_connections=8, max_frame_bytes=64m, "
+      "max_retained_results=4096, max_tasks_per_submission=16, "
+      "num_shards=1, num_workers=2, result_cache_bytes=64m, "
+      "spill_breaker_probe_ms=1000, spill_compression=true, "
+      "spill_retry_backoff_ms=1, spill_retry_limit=3, "
+      "spill_write_behind_bytes=32m, uuid_seed=1, graph_spill_bytes=256m, "
+      "graph_store_bytes=2m, result_spill_bytes=256m, spill_dir=spill");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->spill_write_behind_bytes, 32u << 20);
+  EXPECT_EQ(parsed->spill_dir, "spill");
+}
+
+TEST(PlatformOptionsTest, OutOfRangeSpillKnobsRejected) {
+  // The tier keeps the retry limit in an int and compares the probe
+  // interval in int64 nanoseconds: values that would wrap are refused
+  // instead of silently disabling retries or overflowing.
+  ExpectRejected("spill_retry_limit=4294967296", StatusCode::kOutOfRange,
+                 "spill_retry_limit");
+  ExpectRejected("spill_retry_limit=2147483648", StatusCode::kOutOfRange,
+                 "spill_retry_limit");
+  EXPECT_EQ(PlatformOptions::FromString("spill_retry_limit=2147483647")
+                .value()
+                .spill_retry_limit,
+            2147483647u);
+  ExpectRejected("spill_breaker_probe_ms=10000000000000",
+                 StatusCode::kOutOfRange, "spill_breaker_probe_ms");
+  ExpectRejected("spill_breaker_probe_ms=4294967296", StatusCode::kOutOfRange,
+                 "spill_breaker_probe_ms");
+  EXPECT_EQ(PlatformOptions::FromString("spill_breaker_probe_ms=4294967295")
+                .value()
+                .spill_breaker_probe_ms,
+            4294967295u);
 }
 
 TEST(PlatformOptionsTest, FaultHandlingKnobsParse) {

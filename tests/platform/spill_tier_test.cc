@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/logging.h"
 #include "storage_test_util.h"
 
@@ -41,12 +43,50 @@ class LogCapture {
   std::vector<std::string> lines_;
 };
 
+/// The bytes of the only spill file in `dir` (the manifest excluded).
+std::string OnlySpillFileBytes(const std::string& dir) {
+  std::string bytes;
+  int files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".spill") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    ++files;
+  }
+  EXPECT_EQ(files, 1) << "expected exactly one spill file in " << dir;
+  return bytes;
+}
+
+/// `n` seeded pseudo-random bytes: `CompressBlock` stores them verbatim.
+std::string IncompressibleBytes(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string bytes;
+  bytes.reserve(n);
+  for (size_t i = 0; i < n; ++i) bytes.push_back(static_cast<char>(rng() & 0xff));
+  return bytes;
+}
+
+/// Inverts the byte `from_end` bytes before the end of every spill file in
+/// `dir`, keeping the size: bit rot the checksum or codec must catch.
+void FlipSpillFileByte(const std::string& dir, std::streamoff from_end) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".spill") continue;
+    std::fstream file(entry.path(), std::ios::in | std::ios::out |
+                                        std::ios::binary);
+    file.seekg(-from_end, std::ios::end);
+    const int byte = file.get();
+    file.seekp(-from_end, std::ios::end);
+    file.put(static_cast<char>(byte ^ 0xff));
+  }
+}
+
 TEST(SpillTierTest, PutGetRoundTripWithMeta) {
-  SpillTier tier(FreshSpillDir("roundtrip"), 0, "dataset");
+  SpillTier tier(FreshSpillDir("roundtrip"), SpillTierOptions{}, "dataset");
   ASSERT_TRUE(tier.enabled());
   // The payload is opaque bytes — embedded NULs and high bytes included.
   const std::string payload("payload\0bytes\xff", 14);
-  ASSERT_TRUE(tier.Put("my key / with+specials", payload, 42).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "my key / with+specials", payload, 42).ok());
   EXPECT_TRUE(tier.Contains("my key / with+specials"));
   EXPECT_EQ(tier.Meta("my key / with+specials"), 42u);
   const SpillTier::Loaded loaded = tier.Get("my key / with+specials").value();
@@ -57,7 +97,7 @@ TEST(SpillTierTest, PutGetRoundTripWithMeta) {
 }
 
 TEST(SpillTierTest, MissesAndErase) {
-  SpillTier tier(FreshSpillDir("misses"), 0, "dataset");
+  SpillTier tier(FreshSpillDir("misses"), SpillTierOptions{}, "dataset");
   EXPECT_EQ(tier.Get("ghost").status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(tier.Put("a", "x").ok());
   tier.Erase("a");
@@ -68,10 +108,10 @@ TEST(SpillTierTest, MissesAndErase) {
 }
 
 TEST(SpillTierTest, OverwriteReplacesPayloadAndAccounting) {
-  SpillTier tier(FreshSpillDir("overwrite"), 0, "dataset");
-  ASSERT_TRUE(tier.Put("k", std::string(1000, 'a'), 1).ok());
+  SpillTier tier(FreshSpillDir("overwrite"), SpillTierOptions{}, "dataset");
+  ASSERT_TRUE(PutAndFlush(tier, "k", IncompressibleBytes(1000, 1), 1).ok());
   const size_t bytes_before = tier.stats().bytes;
-  ASSERT_TRUE(tier.Put("k", "tiny", 2).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", "tiny", 2).ok());
   EXPECT_EQ(tier.Get("k").value().payload, "tiny");
   EXPECT_EQ(tier.Meta("k"), 2u);
   EXPECT_EQ(tier.stats().entries, 1u);
@@ -79,15 +119,18 @@ TEST(SpillTierTest, OverwriteReplacesPayloadAndAccounting) {
 }
 
 TEST(SpillTierTest, BudgetPrunesLeastRecentlyUsed) {
-  // Each file is ~100 payload bytes + header; a 3-file budget.
-  const std::string payload(100, 'p');
-  SpillTier tier(FreshSpillDir("prune"), 3 * (payload.size() + 64), "dataset");
-  ASSERT_TRUE(tier.Put("a", payload).ok());
-  ASSERT_TRUE(tier.Put("b", payload).ok());
-  ASSERT_TRUE(tier.Put("c", payload).ok());
+  // Each file is 100 incompressible payload bytes + a 49-byte header; a
+  // 3-file budget.
+  const std::string payload = IncompressibleBytes(100, 2);
+  SpillTierOptions options;
+  options.max_bytes = 3 * (payload.size() + 64);
+  SpillTier tier(FreshSpillDir("prune"), options, "dataset");
+  ASSERT_TRUE(PutAndFlush(tier, "a", payload).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "b", payload).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "c", payload).ok());
   // Touch "a" so "b" is the LRU victim of the next Put.
   ASSERT_TRUE(tier.Get("a").ok());
-  ASSERT_TRUE(tier.Put("d", payload).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "d", payload).ok());
   EXPECT_TRUE(tier.Contains("a"));
   EXPECT_FALSE(tier.Contains("b"));
   EXPECT_TRUE(tier.WasPruned("b"));
@@ -96,29 +139,20 @@ TEST(SpillTierTest, BudgetPrunesLeastRecentlyUsed) {
   EXPECT_NE(pruned.message().find("pruned"), std::string::npos);
   EXPECT_EQ(tier.stats().prunes, 1u);
   // Re-spilling a pruned key revives it.
-  ASSERT_TRUE(tier.Put("b", payload).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "b", payload).ok());
   EXPECT_FALSE(tier.WasPruned("b"));
-}
-
-TEST(SpillTierTest, OversizedPayloadRejectedAndMarkedPruned) {
-  SpillTier tier(FreshSpillDir("oversize"), 64, "result");
-  const Status status = tier.Put("big", std::string(1000, 'x'));
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(tier.Contains("big"));
-  EXPECT_TRUE(tier.WasPruned("big"));
-  EXPECT_EQ(tier.Get("big").status().code(), StatusCode::kExpired);
 }
 
 TEST(SpillTierTest, RecoveryRestoresEntriesAndRecencyOrder) {
   const std::string dir = FreshSpillDir("recovery");
-  const std::string payload(50, 'r');
+  const std::string payload = IncompressibleBytes(50, 3);
   {
-    SpillTier tier(dir, 0, "dataset");
-    ASSERT_TRUE(tier.Put("cold", payload, 7).ok());
-    ASSERT_TRUE(tier.Put("warm", payload, 8).ok());
-    ASSERT_TRUE(tier.Put("hot", payload, 9).ok());
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
+    ASSERT_TRUE(PutAndFlush(tier, "cold", payload, 7).ok());
+    ASSERT_TRUE(PutAndFlush(tier, "warm", payload, 8).ok());
+    ASSERT_TRUE(PutAndFlush(tier, "hot", payload, 9).ok());
   }
-  SpillTier revived(dir, 0, "dataset");
+  SpillTier revived(dir, SpillTierOptions{}, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 3u);
   EXPECT_EQ(revived.Keys(),
             (std::vector<std::string>{"cold", "hot", "warm"}));
@@ -126,9 +160,12 @@ TEST(SpillTierTest, RecoveryRestoresEntriesAndRecencyOrder) {
   EXPECT_EQ(revived.MaxMeta(), 9u);
   EXPECT_EQ(revived.Get("warm").value().payload, payload);
   // Recency order survived via the manifest: under a budget that holds
-  // only two files, the next Put prunes "cold" first.
-  SpillTier bounded(dir, 3 * (payload.size() + 64), "dataset");
-  ASSERT_TRUE(bounded.Put("new", payload, 10).ok());
+  // only three files, the next Put prunes "cold" first.
+  SpillTierOptions options;
+  options.max_bytes = 3 * (payload.size() + 64);
+  SpillTier bounded(dir, options, "dataset");
+  ASSERT_TRUE(PutAndFlush(bounded, "new", payload, 10).ok());
+  EXPECT_EQ(bounded.stats().prunes, 1u);
   EXPECT_FALSE(bounded.Contains("cold"));
   EXPECT_TRUE(bounded.Contains("hot"));
   EXPECT_TRUE(bounded.Contains("warm"));
@@ -137,7 +174,7 @@ TEST(SpillTierTest, RecoveryRestoresEntriesAndRecencyOrder) {
 TEST(SpillTierTest, TruncatedFileSkippedAtRecoveryWithWarning) {
   const std::string dir = FreshSpillDir("truncated");
   {
-    SpillTier tier(dir, 0, "dataset");
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
     ASSERT_TRUE(tier.Put("whole", std::string(100, 'w')).ok());
     ASSERT_TRUE(tier.Put("torn", std::string(100, 't')).ok());
   }
@@ -148,7 +185,7 @@ TEST(SpillTierTest, TruncatedFileSkippedAtRecoveryWithWarning) {
     }
   }
   LogCapture log;
-  SpillTier revived(dir, 0, "dataset");
+  SpillTier revived(dir, SpillTierOptions{}, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 1u);
   EXPECT_EQ(revived.stats().skipped_corrupt_files, 1u);
   EXPECT_TRUE(log.Contains("skipping spill file"));
@@ -159,16 +196,11 @@ TEST(SpillTierTest, TruncatedFileSkippedAtRecoveryWithWarning) {
 
 TEST(SpillTierTest, BitRotDetectedByChecksumOnGet) {
   const std::string dir = FreshSpillDir("bitrot");
-  SpillTier tier(dir, 0, "dataset");
-  ASSERT_TRUE(tier.Put("k", std::string(100, 'k')).ok());
-  // Flip a payload byte without changing the file size.
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().filename() == "manifest") continue;
-    std::fstream file(entry.path(), std::ios::in | std::ios::out |
-                                        std::ios::binary);
-    file.seekp(-1, std::ios::end);
-    file.put('X');
-  }
+  SpillTier tier(dir, SpillTierOptions{}, "dataset");
+  // Incompressible, so the file ends in a stored block: the flipped last
+  // byte is a raw payload byte and only the checksum can catch it.
+  ASSERT_TRUE(PutAndFlush(tier, "k", IncompressibleBytes(100, 4)).ok());
+  FlipSpillFileByte(dir, 1);
   LogCapture log;
   const Status status = tier.Get("k").status();
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -182,12 +214,12 @@ TEST(SpillTierTest, BitRotDetectedByChecksumOnGet) {
 TEST(SpillTierTest, StragglerFilesWithoutManifestAreRecovered) {
   const std::string dir = FreshSpillDir("straggler");
   {
-    SpillTier tier(dir, 0, "dataset");
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
     ASSERT_TRUE(tier.Put("a", "payload-a", 1).ok());
     ASSERT_TRUE(tier.Put("b", "payload-b", 2).ok());
   }
   fs::remove(fs::path(dir) / "manifest");
-  SpillTier revived(dir, 0, "dataset");
+  SpillTier revived(dir, SpillTierOptions{}, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 2u);
   EXPECT_EQ(revived.Get("a").value().payload, "payload-a");
   EXPECT_EQ(revived.Get("b").value().payload, "payload-b");
@@ -199,18 +231,18 @@ TEST(SpillTierTest, DisabledTierDegradesGracefully) {
   const std::string blocked = parent + "/occupied";
   std::ofstream(blocked) << "not a directory";
   LogCapture log;
-  SpillTier tier(blocked + "/sub", 0, "dataset");
+  SpillTier tier(blocked + "/sub", SpillTierOptions{}, "dataset");
   EXPECT_FALSE(tier.enabled());
   EXPECT_EQ(tier.Put("k", "v").code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(tier.Get("k").status().code(), StatusCode::kNotFound);
 }
 
 TEST(SpillTierTest, LongKeysGetHashedFileNames) {
-  SpillTier tier(FreshSpillDir("longkeys"), 0, "dataset");
+  SpillTier tier(FreshSpillDir("longkeys"), SpillTierOptions{}, "dataset");
   const std::string long_a(500, 'a');
   const std::string long_b = long_a + "b";  // same 160-char prefix
-  ASSERT_TRUE(tier.Put(long_a, "payload-a").ok());
-  ASSERT_TRUE(tier.Put(long_b, "payload-b").ok());
+  ASSERT_TRUE(PutAndFlush(tier, long_a, "payload-a").ok());
+  ASSERT_TRUE(PutAndFlush(tier, long_b, "payload-b").ok());
   EXPECT_EQ(tier.Get(long_a).value().payload, "payload-a");
   EXPECT_EQ(tier.Get(long_b).value().payload, "payload-b");
 }
@@ -221,7 +253,6 @@ SpillTierOptions WriteBehind(size_t buffer_bytes, size_t max_bytes = 0) {
   SpillTierOptions options;
   options.max_bytes = max_bytes;
   options.write_behind_bytes = buffer_bytes;
-  options.compression = true;
   return options;
 }
 
@@ -240,13 +271,13 @@ TEST(SpillTierWriteBehindTest, ReadYourWriteBeforeFlush) {
   SpillTierStats stats = tier.stats();
   EXPECT_EQ(stats.buffer_hits, 1u);
   EXPECT_EQ(stats.queue_depth, 1u);
-  EXPECT_EQ(stats.flushes, 0u);
+  EXPECT_EQ(stats.spills, 0u);
   EXPECT_EQ(stats.entries, 0u);  // nothing on disk yet
   // After the barrier the entry lives on disk and reads come from there.
   tier.SetFlushPausedForTest(false);
   tier.Flush();
   stats = tier.stats();
-  EXPECT_EQ(stats.flushes, 1u);
+  EXPECT_EQ(stats.spills, 1u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(tier.Get("k").value().payload, "buffered payload");
@@ -347,18 +378,14 @@ TEST(SpillTierWriteBehindTest, ErasePrefixDropsBufferedAndDiskEntries) {
 }
 
 TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
-  // Budget far below the file size: the write-behind Put still accepts
-  // the enqueue (the check runs on the flush thread), then the entry is
-  // dropped and remembered as pruned — the sync path's kInvalidArgument
-  // becomes an asynchronous prune.
+  // Budget far below the file size: Put still accepts the enqueue (the
+  // check runs on the flush thread), then the entry is dropped and
+  // remembered as pruned.
   SpillTier tier(FreshSpillDir("wb_oversize"), WriteBehind(1u << 20, 64),
                  "result");
   LogCapture log;
   // Incompressible payload so the encoded file genuinely exceeds 64 bytes.
-  std::mt19937_64 rng(7);
-  std::string big;
-  for (int i = 0; i < 1000; ++i) big.push_back(static_cast<char>(rng() & 0xff));
-  ASSERT_TRUE(tier.Put("big", big).ok());
+  ASSERT_TRUE(tier.Put("big", IncompressibleBytes(1000, 7)).ok());
   tier.Flush();
   EXPECT_FALSE(tier.Contains("big"));
   EXPECT_TRUE(tier.WasPruned("big"));
@@ -367,12 +394,12 @@ TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
 }
 
 TEST(SpillTierCompressionTest, CompressedFilesRoundTripBitIdentically) {
-  SpillTierOptions compressed;  // defaults: compression on, synchronous
-  SpillTier tier(FreshSpillDir("cmp_roundtrip"), compressed, "dataset");
+  SpillTier tier(FreshSpillDir("cmp_roundtrip"), SpillTierOptions{},
+                 "dataset");
   // Repetitive payload (the CSR shape) — must take the LZ path.
   std::string payload;
   for (uint32_t i = 0; i < 20000; ++i) payload += "abcdefgh";
-  ASSERT_TRUE(tier.Put("k", payload, 9).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", payload, 9).ok());
   const SpillTierStats stats = tier.stats();
   EXPECT_LT(stats.bytes, stats.raw_bytes)
       << "compressible payload must shrink on disk";
@@ -384,21 +411,14 @@ TEST(SpillTierCompressionTest, CompressedFilesRoundTripBitIdentically) {
 
 TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
   const std::string dir = FreshSpillDir("cmp_bitrot");
-  SpillTierOptions compressed;
-  SpillTier tier(dir, compressed, "dataset");
+  SpillTier tier(dir, SpillTierOptions{}, "dataset");
   std::string payload;
   for (uint32_t i = 0; i < 5000; ++i) payload += "abcdefgh";
-  ASSERT_TRUE(tier.Put("k", payload).ok());
+  ASSERT_TRUE(PutAndFlush(tier, "k", payload).ok());
   // Flip a byte inside the compressed block without changing the size —
   // either the block fails to decode or the raw checksum mismatches;
   // both must degrade to a dropped entry, never corrupt output.
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().filename() == "manifest") continue;
-    std::fstream file(entry.path(), std::ios::in | std::ios::out |
-                                        std::ios::binary);
-    file.seekp(-3, std::ios::end);
-    file.put('X');
-  }
+  FlipSpillFileByte(dir, 3);
   LogCapture log;
   const Status status = tier.Get("k").status();
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -407,25 +427,96 @@ TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
   EXPECT_EQ(tier.Get("k").status().code(), StatusCode::kNotFound);
 }
 
-TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
-  const std::string dir = FreshSpillDir("cmp_backcompat");
-  const std::string payload(5000, 'v');
-  {
-    // The legacy constructor writes the PR-5 uncompressed v1 framing.
-    SpillTier v1_tier(dir, 0, "dataset");
-    ASSERT_TRUE(v1_tier.Put("old", payload, 7).ok());
+TEST(SpillTierCompressionTest, V2FileBytesArePinned) {
+  // FNV-1a of the whole CYSP2 file written for a fixed (key, payload,
+  // meta), one LZ-compressed and one stored-block payload. A change to the
+  // header layout, the checksum, or the block codec changes these.
+  std::string compressible;
+  for (int i = 0; i < 2000; ++i) compressible += std::to_string(i % 37) + ",";
+  const struct {
+    std::string payload;
+    size_t file_bytes;
+    uint64_t fnv;
+  } cases[] = {
+      {compressible, 169, 0x0e32c2a6e5eee219ull},
+      {IncompressibleBytes(600, 16), 661, 0x3164dcce76614fb2ull},
+  };
+  for (const auto& c : cases) {
+    const std::string dir = FreshSpillDir("format_v2_golden");
+    {
+      SpillTier tier(dir, SpillTierOptions{}, "dataset");
+      ASSERT_TRUE(tier.Put("golden/key 1", c.payload, 0x0123456789abcdefull)
+                      .ok());
+      ASSERT_TRUE(tier.Flush().ok());
+    }
+    const std::string file = OnlySpillFileBytes(dir);
+    ASSERT_EQ(file.substr(0, 6), "CYSP2\n");
+    EXPECT_EQ(file.size(), c.file_bytes);
+    EXPECT_EQ(binio::Fnv1a64(file), c.fnv) << std::hex << "0x"
+                                           << binio::Fnv1a64(file);
   }
-  // A compression-enabled tier recovers and reads the v1 file...
-  SpillTierOptions compressed;
-  SpillTier tier(dir, compressed, "dataset");
-  EXPECT_EQ(tier.stats().recovered_files, 1u);
+}
+
+/// Appends `v` little-endian, spelled out byte by byte so the CYSP1 layout
+/// is pinned independently of the codec helpers under test.
+void AppendLe64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// A hand-encoded CYSP1 (uncompressed, no longer written) spill file.
+std::string EncodeV1File(const std::string& key, const std::string& payload,
+                         uint64_t meta) {
+  std::string file = "CYSP1\n";
+  AppendLe64(&file, meta);
+  AppendLe64(&file, binio::Fnv1a64(payload));
+  AppendLe64(&file, key.size());
+  file += key;
+  AppendLe64(&file, payload.size());
+  file += payload;
+  return file;
+}
+
+TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
+  // A directory left by an older process that wrote v1 files: one intact,
+  // one with a flipped payload byte (its header is fine, its checksum is
+  // not). File names are what the tier derives from the keys.
+  const std::string dir = FreshSpillDir("format_v1");
+  const std::string payload(5000, 'v');
+  std::ofstream(fs::path(dir) / "old.spill", std::ios::binary)
+      << EncodeV1File("old", payload, 7);
+  std::string rotten = EncodeV1File("rot", payload, 9);
+  rotten[rotten.size() - 100] ^= 0x01;
+  std::ofstream(fs::path(dir) / "rot.spill", std::ios::binary) << rotten;
+
+  SpillTier tier(dir, SpillTierOptions{}, "dataset");
+  // Recovery validates headers only: both files are indexed.
+  EXPECT_EQ(tier.stats().recovered_files, 2u);
+  EXPECT_EQ(tier.stats().raw_bytes, 2 * payload.size());
+  EXPECT_EQ(tier.Meta("old"), 7u);
+  EXPECT_EQ(tier.MaxMeta(), 9u);
   const SpillTier::Loaded loaded = tier.Get("old").value();
   EXPECT_EQ(loaded.payload, payload);
   EXPECT_EQ(loaded.meta, 7u);
-  // ...and new writes (v2) coexist with it across another restart.
-  ASSERT_TRUE(tier.Put("new", payload, 8).ok());
-  SpillTier revived(dir, compressed, "dataset");
+  // The checksum catches the flipped byte on Get: dropped as corrupt.
+  LogCapture log;
+  const Status rot = tier.Get("rot").status();
+  EXPECT_EQ(rot.code(), StatusCode::kIOError);
+  EXPECT_NE(rot.message().find("corrupt"), std::string::npos);
+  EXPECT_TRUE(log.Contains("checksum"));
+  EXPECT_FALSE(tier.Contains("rot"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "rot.spill"));
+
+  // New writes are v2 and coexist with the v1 file across a restart.
+  ASSERT_TRUE(PutAndFlush(tier, "new", payload, 8).ok());
+  std::ifstream written(fs::path(dir) / "new.spill", std::ios::binary);
+  std::string magic(6, '\0');
+  written.read(magic.data(), 6);
+  EXPECT_EQ(magic, "CYSP2\n");
+  SpillTier revived(dir, SpillTierOptions{}, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 2u);
+  EXPECT_EQ(revived.stats().skipped_corrupt_files, 0u);
+  EXPECT_EQ(revived.Meta("old"), 7u);
+  EXPECT_EQ(revived.Meta("new"), 8u);
   EXPECT_EQ(revived.Get("old").value().payload, payload);
   EXPECT_EQ(revived.Get("new").value().payload, payload);
 }
@@ -433,8 +524,7 @@ TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
 TEST(SpillTierFilterTest, ColdMissesShortCircuitWithoutDiskProbes) {
   SpillTier tier(FreshSpillDir("filter_cold"), WriteBehind(1u << 20),
                  "dataset");
-  ASSERT_TRUE(tier.Put("present", "payload").ok());
-  tier.Flush();
+  ASSERT_TRUE(PutAndFlush(tier, "present", "payload").ok());
   // A key never stored is answered by the filter alone: the counter
   // increments and the exact-index miss counter does not — no lock was
   // taken, no directory probe happened.

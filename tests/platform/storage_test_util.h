@@ -8,6 +8,7 @@
 
 #include "graph/graph_builder.h"
 #include "platform/platform_options.h"
+#include "platform/spill_tier.h"
 
 namespace cyclerank {
 
@@ -41,6 +42,16 @@ inline std::string FreshSpillDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
+}
+
+/// Puts `payload` under `key` and waits for the write-behind flush: an
+/// entry counts as acknowledged (durable) only when both `Put` and the
+/// following `Flush()` return OK. Returns the first error.
+inline Status PutAndFlush(SpillTier& tier, const std::string& key,
+                          std::string_view payload, uint64_t meta = 0) {
+  const Status put = tier.Put(key, payload, meta);
+  if (!put.ok()) return put;
+  return tier.Flush();
 }
 
 }  // namespace cyclerank

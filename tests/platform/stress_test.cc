@@ -585,7 +585,6 @@ TEST(StressTest, WriteBehindChurnWithBackpressureStaysConsistent) {
   // tools/verify.sh.
   SpillTierOptions options;
   options.write_behind_bytes = 4096;  // a handful of entries at most
-  options.compression = true;
   SpillTier tier(FreshSpillDir("stress_write_behind"), options, "dataset");
 
   constexpr int kThreads = 3;
@@ -649,8 +648,10 @@ TEST(StressTest, ConcurrentResultCacheSpillChurn) {
   // cycles (which themselves demote), and an invalidator erases prefixes
   // across both tiers. Entries are fingerprint-keyed and content-derived,
   // so a reload served from either tier must match its key exactly.
-  SpillTier spill(FreshSpillDir("stress_cache_spill"),
-                  SpillTierOptions{0, 1u << 20, true}, "cached result");
+  SpillTierOptions options;
+  options.write_behind_bytes = 1u << 20;
+  SpillTier spill(FreshSpillDir("stress_cache_spill"), options,
+                  "cached result");
   TaskResult probe;
   probe.task_id = "t0-0";
   probe.ranking.assign(50, {0, 0.0});
