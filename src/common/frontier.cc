@@ -1,6 +1,5 @@
 #include "common/frontier.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/parallel_for.h"
@@ -29,9 +28,6 @@ void FrontierEngine::Next(uint32_t v) {
 }
 
 void FrontierEngine::PartitionFrontier(const Callbacks& callbacks) {
-  // Canonical weight-balanced cuts — deliberately blind to shard_bounds,
-  // so merge batch boundaries (and with them every bit of downstream
-  // floating-point state) are identical at every shard count.
   chunk_offsets_.clear();
   chunk_offsets_.push_back(0);
   const uint64_t target =
@@ -46,54 +42,6 @@ void FrontierEngine::PartitionFrontier(const Callbacks& callbacks) {
     }
   }
   chunk_offsets_.push_back(frontier_.size());
-
-  // Shard refinement: cut each canonical chunk where the owning shard of
-  // consecutive frontier nodes changes, so every execution sub-chunk can
-  // stream one shard's local rows.
-  const size_t num_chunks = chunk_offsets_.size() - 1;
-  sub_offsets_.clear();
-  sub_shard_.clear();
-  chunk_sub_begin_.clear();
-  const std::span<const uint32_t> bounds = options_.shard_bounds;
-  if (bounds.size() <= 2) {
-    // Unsharded (or a single shard): the refinement is the identity and
-    // the engine runs exactly the historical chunk-per-chunk path.
-    for (size_t c = 0; c < num_chunks; ++c) {
-      chunk_sub_begin_.push_back(c);
-      sub_offsets_.push_back(chunk_offsets_[c]);
-      sub_shard_.push_back(0);
-    }
-    chunk_sub_begin_.push_back(num_chunks);
-    sub_offsets_.push_back(frontier_.size());
-    return;
-  }
-  const auto shard_of = [&bounds](uint32_t v) {
-    // bounds[s] <= v < bounds[s+1]; empty shards collapse to equal bounds
-    // that upper_bound skips past.
-    return static_cast<uint32_t>(
-               std::upper_bound(bounds.begin(), bounds.end(), v) -
-               bounds.begin()) -
-           1;
-  };
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_sub_begin_.push_back(sub_shard_.size());
-    const size_t begin = chunk_offsets_[c];
-    const size_t end = chunk_offsets_[c + 1];
-    if (begin == end) continue;
-    uint32_t current = shard_of(frontier_[begin]);
-    sub_offsets_.push_back(begin);
-    sub_shard_.push_back(current);
-    for (size_t i = begin + 1; i < end; ++i) {
-      const uint32_t shard = shard_of(frontier_[i]);
-      if (shard != current) {
-        sub_offsets_.push_back(i);
-        sub_shard_.push_back(shard);
-        current = shard;
-      }
-    }
-  }
-  chunk_sub_begin_.push_back(sub_shard_.size());
-  sub_offsets_.push_back(frontier_.size());
 }
 
 void FrontierEngine::Run(const Callbacks& callbacks) {
@@ -102,67 +50,38 @@ void FrontierEngine::Run(const Callbacks& callbacks) {
   for (uint32_t round = 0; !frontier_.empty(); ++round) {
     PartitionFrontier(callbacks);
     const size_t num_chunks = chunk_offsets_.size() - 1;
-    const size_t num_subs = sub_shard_.size();
-    partials_.resize(num_subs);
+    partials_.resize(num_chunks);
     for (ChunkPartial& partial : partials_) {
       partial.candidates.clear();
       partial.delta_groups.clear();
     }
 
-    ParallelFor(pool, num_subs, /*grain=*/1, resolved_threads_,
-                [&](size_t s, size_t, size_t) {
+    ParallelFor(pool, num_chunks, /*grain=*/1, resolved_threads_,
+                [&](size_t c, size_t, size_t) {
                   auto lease = scratch_.Acquire();
                   Scratch& scratch = *lease;
                   scratch.BeginChunk();
-                  ChunkPartial& partial = partials_[s];
+                  ChunkPartial& partial = partials_[c];
                   Emitter emitter(&scratch, &partial.candidates,
                                   &partial.delta_groups);
                   callbacks.expand(
                       std::span<const uint32_t>(
-                          frontier_.data() + sub_offsets_[s],
-                          sub_offsets_[s + 1] - sub_offsets_[s]),
-                      sub_shard_[s], emitter);
+                          frontier_.data() + chunk_offsets_[c],
+                          chunk_offsets_[c + 1] - chunk_offsets_[c]),
+                      emitter);
                 });
 
-    // Serial merge in ascending canonical chunk order: the only writer of
-    // shared numeric state, so its fixed iteration order — and fixed batch
-    // granularity, independent of the shard refinement — pins the
-    // floating-point result for every thread and shard count.
+    // Serial merge in ascending chunk order: the only writer of shared
+    // numeric state, so its fixed iteration order and fixed batch
+    // granularity pin the floating-point result for every thread count.
     next_.clear();
     next_seen_.NewEpoch();
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t sub_begin = chunk_sub_begin_[c];
-      const size_t sub_end = chunk_sub_begin_[c + 1];
-      if (sub_end == sub_begin) continue;
-      if (sub_end == sub_begin + 1) {
-        // Unsplit chunk (always, when unsharded): zero-copy pass-through.
-        const ChunkPartial& partial = partials_[sub_begin];
-        if (callbacks.candidates && !partial.candidates.empty()) {
-          callbacks.candidates(partial.candidates);
-        }
-        if (callbacks.deltas && !partial.delta_groups.empty()) {
-          callbacks.deltas(partial.delta_groups);
-        }
-        continue;
+    for (const ChunkPartial& partial : partials_) {
+      if (callbacks.candidates && !partial.candidates.empty()) {
+        callbacks.candidates(partial.candidates);
       }
-      // Split chunk: concatenate the sub-chunk partials in sub-chunk
-      // (frontier) order so the callbacks see the exact batch the
-      // unsharded run would have produced.
-      merge_candidates_.clear();
-      merge_groups_.clear();
-      for (size_t s = sub_begin; s < sub_end; ++s) {
-        merge_candidates_.insert(merge_candidates_.end(),
-                                 partials_[s].candidates.begin(),
-                                 partials_[s].candidates.end());
-        merge_groups_.insert(merge_groups_.end(),
-                             partials_[s].delta_groups.begin(),
-                             partials_[s].delta_groups.end());
-      }
-      if (callbacks.candidates && !merge_candidates_.empty()) {
-        callbacks.candidates(merge_candidates_);
-      }
-      if (callbacks.deltas && !merge_groups_.empty()) {
-        callbacks.deltas(merge_groups_);
+      if (callbacks.deltas && !partial.delta_groups.empty()) {
+        callbacks.deltas(partial.delta_groups);
       }
     }
     frontier_.swap(next_);

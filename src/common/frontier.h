@@ -20,50 +20,27 @@ namespace cyclerank {
 /// Each round:
 ///
 ///  1. The current frontier is partitioned into contiguous, weight-balanced
-///     *canonical* chunks. Chunk boundaries are a pure function of the
-///     frontier and the per-node weights (typically out-degrees), never of
-///     the thread count, the pool scheduling — or the shard count (the cut
-///     algorithm ignores `shard_bounds` entirely).
-///  2. When `Options::shard_bounds` is set, each canonical chunk is further
-///     refined into *execution sub-chunks*, cut wherever the owning shard
-///     of consecutive frontier nodes changes. Every sub-chunk therefore
-///     lies in exactly one shard — the `expand` callback receives its
-///     shard id and can stream that shard's local CSR rows. Workers expand
-///     sub-chunks concurrently (caller-runs `ParallelFor`, so running
-///     inside a pool task cannot deadlock). Expansion emits next-frontier
-///     *candidates* — deduplicated per sub-chunk through a per-worker
-///     epoch-stamped sparse buffer (`workspace.h`) — and numeric *deltas*,
-///     logged per sub-chunk in emission order as groups of targets sharing
-///     one value. A group stores a *reference* to the caller's target
-///     array (for a push that spreads one share over an adjacency row of
-///     an immutable CSR graph, logging costs one 24-byte header — no
-///     per-edge copy). Delta logs are deliberately append-only: a per-edge
-///     dedup/accumulate pass was measured to cost more in random-access
-///     traffic than the duplicates it saves, so accumulation belongs to
-///     the (cache-friendly, serial) merge.
-///  3. The calling thread merges in ascending *canonical* chunk order —
-///     an ascending (shard-refined sub-chunk within ascending chunk)
-///     merge. A canonical chunk split across sub-chunks has their
-///     candidate and delta partials concatenated in sub-chunk order and
-///     handed to the merge callbacks as **one** batch, exactly the batch
-///     the unsharded run would have produced (sub-chunks partition the
-///     chunk's node sequence contiguously, and expansion appends per node
-///     in frontier order, so the concatenated delta log is byte-identical;
-///     an unsplit chunk — always, when unsharded — passes its partials
-///     through zero-copy). Merge batch granularity is therefore a pure
-///     function of the frontier, *independent of the shard count*, so any
+///     chunks. Chunk boundaries are a pure function of the frontier and
+///     the per-node weights (typically out-degrees), never of the thread
+///     count or the pool scheduling.
+///  2. Workers expand chunks concurrently (caller-runs `ParallelFor`, so
+///     running inside a pool task cannot deadlock). Expansion emits
+///     next-frontier *candidates* — deduplicated per chunk through a
+///     per-worker epoch-stamped sparse buffer (`workspace.h`) — and
+///     numeric *deltas*, logged per chunk in emission order as groups of
+///     targets sharing one value. A group stores a *reference* to the
+///     caller's target array (for a push that spreads one share over an
+///     adjacency row of an immutable CSR graph, logging costs one 24-byte
+///     header — no per-edge copy). Delta logs are deliberately
+///     append-only: a per-edge dedup/accumulate pass was measured to cost
+///     more in random-access traffic than the duplicates it saves, so
+///     accumulation belongs to the (cache-friendly, serial) merge.
+///  3. The calling thread hands each chunk's partials to the merge
+///     callbacks as one batch, in ascending chunk order. Merge batch
+///     granularity is therefore a pure function of the frontier, so any
 ///     per-batch policy in the callbacks (forward-push's tier filing) and
 ///     any numeric state folded in the merge are **bit-identical at every
-///     (threads × shards) combination, including 1×unsharded** (the serial
-///     unsharded path runs the same chunking and merge).
-///
-/// One sharded-vs-unsharded asymmetry is deliberate: candidate dedup runs
-/// per *sub*-chunk, so a canonical chunk split by sharding can hand the
-/// merge a duplicate candidate that the unsharded chunk would have
-/// collapsed. First occurrences keep their exact positions (dedup only
-/// ever removes later repeats), so admission order — and thus the next
-/// round's frontier — is unchanged; merge callbacks must already tolerate
-/// cross-chunk duplicates, and cross-sub-chunk ones arrive the same way.
+///     thread count** (the serial path runs the same chunking and merge).
 ///
 /// The next frontier is whatever the merge callbacks admit via `Next()` —
 /// plus anything `round_done` seeds for admission-policy traversals — in
@@ -81,15 +58,6 @@ class FrontierEngine {
     /// point accumulation order — it is a compile-time-style tuning knob,
     /// not a runtime one.
     uint64_t chunk_weight = kDefaultChunkWeight;
-
-    /// Shard partition bounds (P+1 ascending node ids, `bounds[0] == 0`,
-    /// `bounds[P] == num_nodes` — `ShardedGraph::bounds()`); must outlive
-    /// the engine. Empty, or a single shard, disables refinement: `expand`
-    /// then always receives shard 0 and the engine runs the exact
-    /// unsharded code path. The bounds refine execution granularity only —
-    /// merge batches never depend on them (see steps 2–3 above), so
-    /// results are bit-identical at every shard count.
-    std::span<const uint32_t> shard_bounds;
   };
   static constexpr uint64_t kDefaultChunkWeight = 2048;
 
@@ -181,13 +149,11 @@ class FrontierEngine {
   /// non-empty chunk, not per entry) so their inner loops live — and
   /// inline — in the caller's translation unit.
   struct Callbacks {
-    /// Expands every node of `chunk`, all owned by shard `shard` (always 0
-    /// without `shard_bounds`). Runs concurrently for distinct chunks; may
-    /// read shared traversal state and write per-frontier-node state (each
-    /// node appears in exactly one chunk), but must route all cross-node
-    /// effects through `out`.
-    std::function<void(std::span<const uint32_t>, uint32_t shard, Emitter&)>
-        expand;
+    /// Expands every node of `chunk`. Runs concurrently for distinct
+    /// chunks; may read shared traversal state and write per-frontier-node
+    /// state (each node appears in exactly one chunk), but must route all
+    /// cross-node effects through `out`.
+    std::function<void(std::span<const uint32_t>, Emitter&)> expand;
 
     /// One chunk's candidates (chunk-deduplicated, emission order), merge
     /// order across chunks. Cross-chunk duplicates are the callback's job
@@ -237,11 +203,7 @@ class FrontierEngine {
     std::vector<DeltaGroup> delta_groups;
   };
 
-  /// Cuts `frontier_` into weight-balanced canonical chunks
-  /// (`chunk_offsets_`), then refines them at shard crossings into the
-  /// execution sub-chunks (`sub_offsets_` / `sub_shard_` /
-  /// `chunk_sub_begin_`). Without `shard_bounds` the refinement is the
-  /// identity (one sub-chunk per chunk, shard 0).
+  /// Cuts `frontier_` into weight-balanced chunks (`chunk_offsets_`).
   void PartitionFrontier(const Callbacks& callbacks);
 
   const uint32_t num_nodes_;
@@ -253,18 +215,7 @@ class FrontierEngine {
   EpochSet next_seen_;
 
   std::vector<size_t> chunk_offsets_;  // chunk c = [offsets[c], offsets[c+1])
-  /// Shard refinement: sub-chunk s covers frontier indices
-  /// [sub_offsets_[s], sub_offsets_[s+1]) and lies entirely in shard
-  /// sub_shard_[s]; canonical chunk c owns sub-chunks
-  /// [chunk_sub_begin_[c], chunk_sub_begin_[c+1]).
-  std::vector<size_t> sub_offsets_;
-  std::vector<uint32_t> sub_shard_;
-  std::vector<size_t> chunk_sub_begin_;
-  std::vector<ChunkPartial> partials_;  // one per sub-chunk
-  /// Concatenation scratch for canonical chunks split across sub-chunks
-  /// (never used on the unsharded path).
-  std::vector<uint32_t> merge_candidates_;
-  std::vector<DeltaGroup> merge_groups_;
+  std::vector<ChunkPartial> partials_;  // one per chunk
   WorkspacePool<Scratch> scratch_;
 };
 

@@ -10,7 +10,6 @@
 #include "core/ranking.h"
 #include "core/scoring.h"
 #include "graph/graph.h"
-#include "graph/sharded_graph.h"
 
 namespace cyclerank {
 
@@ -72,19 +71,6 @@ struct AlgorithmRequest {
   /// bit-identical output at any thread count, so this is purely a
   /// latency/throughput trade-off.
   uint32_t num_threads = 0;
-
-  /// Shard count the executor resolved for this task (0 or 1 =
-  /// monolithic). Execution-only, like `num_threads`: every kernel is
-  /// bit-identical at any shard count, so — also like `num_threads` — the
-  /// value is excluded from the task fingerprint. Informational once
-  /// `sharded_graph` is set; kept for logging.
-  uint32_t num_shards = 0;
-
-  /// The sharded view matching `num_shards`, fetched (and cached) by the
-  /// platform next to the parent graph. Null = monolithic execution.
-  /// Kernels validate that the view's parent is the graph they were
-  /// handed.
-  ShardedGraphPtr sharded_graph;
 
   /// Keep only the best `top_k` entries of the resulting ranking
   /// (0 = everything). The demo UI displays top-k lists.

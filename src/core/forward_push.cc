@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/frontier.h"
-#include "graph/sharded_graph.h"
 
 namespace cyclerank {
 namespace {
@@ -110,10 +109,6 @@ Result<ForwardPushScores> ComputeForwardPushPpr(
   if (!(options.epsilon > 0.0)) {
     return Status::InvalidArgument("ForwardPush: epsilon must be positive");
   }
-  if (options.sharded != nullptr && options.sharded->parent().get() != &g) {
-    return Status::InvalidArgument(
-        "ForwardPush: sharded view does not belong to this graph");
-  }
 
   const NodeId n = g.num_nodes();
   const double alpha = options.alpha;
@@ -152,9 +147,6 @@ Result<ForwardPushScores> ComputeForwardPushPpr(
 
   FrontierEngine::Options engine_options;
   engine_options.num_threads = options.num_threads;
-  if (options.sharded != nullptr) {
-    engine_options.shard_bounds = options.sharded->bounds();
-  }
   FrontierEngine engine(n, engine_options);
   engine.Seed(reference);
 
@@ -166,7 +158,7 @@ Result<ForwardPushScores> ComputeForwardPushPpr(
 
   FrontierEngine::Callbacks callbacks;
   callbacks.node_weights = degrees;
-  callbacks.expand = [&](std::span<const uint32_t> chunk, uint32_t shard,
+  callbacks.expand = [&](std::span<const uint32_t> chunk,
                          FrontierEngine::Emitter& out) {
     // Each frontier node appears in exactly one chunk, so consuming its
     // residual and crediting its estimate here is data-race-free; all
@@ -180,12 +172,7 @@ Result<ForwardPushScores> ComputeForwardPushPpr(
       hot[u].residual = 0.0;
       result.scores[u] += (1.0 - alpha) * r_u;
 
-      // Shard-local row when a view is attached (element-equal to the
-      // parent's, so the logged delta group — and with it the merge — is
-      // unchanged); the sharded rows outlive the round's merge.
-      const auto row = options.sharded != nullptr
-                           ? options.sharded->OutNeighbors(shard, u)
-                           : g.OutNeighbors(u);
+      const std::span<const NodeId> row = g.OutNeighbors(u);
       if (row.empty()) {
         // Dangling: the walk teleports home, so the α mass returns to the
         // reference node's residual.

@@ -9,8 +9,6 @@
 
 namespace cyclerank {
 
-class ShardedGraph;
-
 /// Options for the local forward-push PPR approximation
 /// (Andersen, Chung & Lang, FOCS 2006). This is one of the "more efficient
 /// algorithms" the paper alludes to in §II: it touches only the
@@ -43,16 +41,6 @@ struct ForwardPushOptions {
   /// power-of-4 ratio tiers), which keeps the total push count at the
   /// old queue-carried schedule's level (see forward_push.cc: TierQueue).
   uint32_t num_threads = 1;
-
-  /// Optional sharded view of the *same* graph (`sharded->parent().get()`
-  /// must equal the graph passed to the kernel — validated). When set, the
-  /// frontier engine refines its execution chunks at shard crossings and
-  /// pushes stream each shard's local CSR rows. Execution-only, like
-  /// `num_threads`: merge batches are independent of the refinement (see
-  /// common/frontier.h), so scores, pushes, converged, and residual_mass
-  /// are bit-identical at every shard count, unsharded included.
-  /// Borrowed; must outlive the call.
-  const ShardedGraph* sharded = nullptr;
 };
 
 /// Outcome of a forward-push run.

@@ -83,16 +83,16 @@ Result<MonteCarloScores> ComputeMonteCarloPpr(
   }
 
   const NodeId n = g.num_nodes();
-  const size_t num_shards =
+  const size_t num_walk_shards =
       static_cast<size_t>((options.num_walks + kWalksPerShard - 1) /
                           kWalksPerShard);
 
   // Shard s draws from Rng(seed) advanced by s xoshiro jumps — 2^128 draws
   // apart, so streams never overlap and depend only on (seed, shard).
   std::vector<Rng> shard_rng;
-  shard_rng.reserve(num_shards);
+  shard_rng.reserve(num_walk_shards);
   Rng rng(options.seed);
-  for (size_t s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < num_walk_shards; ++s) {
     shard_rng.push_back(rng);
     rng.Jump();
   }
@@ -116,7 +116,7 @@ Result<MonteCarloScores> ComputeMonteCarloPpr(
 
   const uint32_t num_threads = ResolveThreadCount(options.num_threads);
   ThreadPool* pool = num_threads > 1 ? GlobalComputePool() : nullptr;
-  ParallelFor(pool, num_shards, /*grain=*/1, num_threads,
+  ParallelFor(pool, num_walk_shards, /*grain=*/1, num_threads,
               [&](size_t shard, size_t, size_t) {
                 const uint64_t begin = shard * kWalksPerShard;
                 const uint64_t walks =

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/parallel_for.h"
-#include "graph/sharded_graph.h"
 
 namespace cyclerank {
 namespace internal {
@@ -25,10 +24,6 @@ Result<PageRankScores> PowerIteration(const Graph& g,
   }
   if (options.max_iterations == 0) {
     return Status::InvalidArgument("PageRank: max_iterations must be >= 1");
-  }
-  if (options.sharded != nullptr && options.sharded->parent().get() != &g) {
-    return Status::InvalidArgument(
-        "PageRank: sharded view does not belong to this graph");
   }
 
   // Teleport distribution v.
@@ -79,16 +74,6 @@ Result<PageRankScores> PowerIteration(const Graph& g,
   ThreadPool* pool = num_threads > 1 ? GlobalComputePool() : nullptr;
   std::vector<double> chunk_l1(NumChunks(n, kPullGrain), 0.0);
 
-  // Shard map over the unchanged chunk grid: a chunk fully inside one
-  // shard pulls from that shard's local rows (element-equal to the
-  // parent's); straddlers (at most num_shards - 1 chunks) use the
-  // monolithic CSR. Empty when unsharded.
-  const ShardedGraph* sharded = options.sharded;
-  const std::vector<int32_t> chunk_shard =
-      sharded != nullptr
-          ? BuildChunkShardMap(sharded->bounds(), n, kPullGrain)
-          : std::vector<int32_t>{};
-
   PageRankScores result;
   for (uint32_t iter = 1; iter <= options.max_iterations; ++iter) {
     // Mass parked on dangling nodes re-enters via the teleport vector.
@@ -109,21 +94,14 @@ Result<PageRankScores> PowerIteration(const Graph& g,
         pool, n, kPullGrain, num_threads,
         [&](size_t chunk, size_t begin, size_t end) {
           double l1 = 0.0;
-          const int32_t shard =
-              chunk_shard.empty() ? -1 : chunk_shard[chunk];
           for (size_t v = begin; v < end; ++v) {
             double inflow = 0.0;
-            // Pull along in-edges of v under the chosen direction, from
-            // the chunk's shard-local rows when it has one.
+            // Pull along in-edges of v under the chosen direction.
             const NodeId node = static_cast<NodeId>(v);
-            const auto sources =
-                shard >= 0
-                    ? (reverse ? sharded->OutNeighbors(
-                                     static_cast<uint32_t>(shard), node)
-                               : sharded->InNeighbors(
-                                     static_cast<uint32_t>(shard), node))
-                    : (reverse ? g.OutNeighbors(node) : g.InNeighbors(node));
-            for (NodeId u : sources) inflow += contrib[u];
+            for (NodeId u : reverse ? g.OutNeighbors(node)
+                                    : g.InNeighbors(node)) {
+              inflow += contrib[u];
+            }
             const double value = alpha * (inflow + dangling_mass * teleport[v]) +
                                  (1.0 - alpha) * teleport[v];
             l1 += std::fabs(value - p[v]);

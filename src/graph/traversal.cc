@@ -3,22 +3,16 @@
 #include <span>
 
 #include "common/frontier.h"
-#include "graph/sharded_graph.h"
 
 namespace cyclerank {
 
 Result<std::vector<uint32_t>> BfsDistances(const Graph& g, NodeId source,
                                            Direction direction,
                                            uint32_t max_depth,
-                                           uint32_t num_threads,
-                                           const ShardedGraph* sharded) {
+                                           uint32_t num_threads) {
   if (!g.IsValidNode(source)) {
     return Status::OutOfRange("BfsDistances: source " +
                               std::to_string(source) + " out of range");
-  }
-  if (sharded != nullptr && sharded->parent().get() != &g) {
-    return Status::InvalidArgument(
-        "BfsDistances: sharded view does not belong to this graph");
   }
   std::vector<uint32_t> dist(g.num_nodes(), kUnreachable);
   dist[source] = 0;
@@ -26,7 +20,6 @@ Result<std::vector<uint32_t>> BfsDistances(const Graph& g, NodeId source,
 
   FrontierEngine::Options options;
   options.num_threads = num_threads;
-  if (sharded != nullptr) options.shard_bounds = sharded->bounds();
   FrontierEngine engine(g.num_nodes(), options);
   engine.Seed(source);
 
@@ -43,18 +36,12 @@ Result<std::vector<uint32_t>> BfsDistances(const Graph& g, NodeId source,
   }
   FrontierEngine::Callbacks callbacks;
   callbacks.node_weights = degrees;
-  callbacks.expand = [&](std::span<const uint32_t> chunk, uint32_t shard,
+  callbacks.expand = [&](std::span<const uint32_t> chunk,
                          FrontierEngine::Emitter& out) {
     for (uint32_t u : chunk) {
-      // Shard-local rows when a view is attached (element-equal to the
-      // parent's rows, so the candidate stream is unchanged).
-      const auto neighbors =
-          sharded != nullptr
-              ? (direction == Direction::kForward
-                     ? sharded->OutNeighbors(shard, u)
-                     : sharded->InNeighbors(shard, u))
-              : (direction == Direction::kForward ? g.OutNeighbors(u)
-                                                  : g.InNeighbors(u));
+      const std::span<const NodeId> neighbors =
+          direction == Direction::kForward ? g.OutNeighbors(u)
+                                           : g.InNeighbors(u);
       for (NodeId v : neighbors) {
         if (dist[v] == kUnreachable) out.Candidate(v);
       }
@@ -79,11 +66,10 @@ Result<std::vector<uint32_t>> BfsDistances(const Graph& g, NodeId source,
 Result<std::vector<NodeId>> ReachableSet(const Graph& g, NodeId source,
                                          Direction direction,
                                          uint32_t max_depth,
-                                         uint32_t num_threads,
-                                         const ShardedGraph* sharded) {
+                                         uint32_t num_threads) {
   CYCLERANK_ASSIGN_OR_RETURN(
       std::vector<uint32_t> dist,
-      BfsDistances(g, source, direction, max_depth, num_threads, sharded));
+      BfsDistances(g, source, direction, max_depth, num_threads));
   std::vector<NodeId> out;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (dist[u] != kUnreachable) out.push_back(u);

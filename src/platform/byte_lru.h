@@ -68,19 +68,6 @@ class ByteBudgetedLru {
     bytes_ += bytes;
   }
 
-  /// Re-states the byte charge of `key` (recency untouched) — for entries
-  /// whose accounted footprint grows after insertion, e.g. a dataset slot
-  /// that lazily builds a sharded view next to its graph. Returns false
-  /// when absent. The caller re-checks the budget afterwards.
-  bool Recharge(const std::string& key, size_t bytes) {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    bytes_ -= it->second->bytes;
-    it->second->bytes = bytes;
-    bytes_ += bytes;
-    return true;
-  }
-
   /// Removes and returns `key`'s entry; nullopt when absent.
   std::optional<Entry> Erase(const std::string& key) {
     auto it = index_.find(key);

@@ -68,7 +68,7 @@ Status GraphStore::Put(const std::string& name, GraphPtr graph) {
   }
   // Re-uploading an evicted name revives it.
   evicted_.Revive(name);
-  lru_.Insert(name, Slot{std::move(graph), next_generation_++, {}}, bytes);
+  lru_.Insert(name, Slot{std::move(graph), next_generation_++}, bytes);
   ++stats_.uploads;
   EvictLocked();
   return Status::OK();
@@ -107,71 +107,6 @@ Result<GraphPtr> GraphStore::Get(const std::string& name) {
   return Status::NotFound("dataset '" + name + "' not found");
 }
 
-size_t GraphStore::SlotBytes(const Slot& slot) {
-  size_t bytes = slot.graph->MemoryBytes();
-  for (const auto& [shards, view] : slot.sharded) bytes += view->MemoryBytes();
-  return bytes;
-}
-
-Result<ShardedGraphPtr> GraphStore::GetSharded(const std::string& name,
-                                               const GraphPtr& pinned,
-                                               uint32_t num_shards) {
-  if (!pinned) {
-    return Status::InvalidArgument(
-        "graph store: GetSharded needs a pinned graph");
-  }
-  if (num_shards == 0) {
-    return Status::InvalidArgument(
-        "graph store: GetSharded needs num_shards >= 1");
-  }
-  {
-    MutexLock lock(mu_);
-    Slot* slot = lru_.Touch(name);
-    // Identity, not name equality: the slot must still bind the caller's
-    // snapshot, or the cached view would mirror a different binding.
-    if (slot != nullptr && slot->graph == pinned) {
-      auto it = slot->sharded.find(num_shards);
-      if (it != slot->sharded.end()) {
-        ++stats_.sharded_hits;
-        return it->second;
-      }
-    }
-  }
-
-  // Build outside the lock: an O(nodes + edges) row copy must not stall
-  // every Get/Put on the store.
-  static const ContiguousRangePartitioner kPartitioner;
-  CYCLERANK_ASSIGN_OR_RETURN(ShardedGraph built,
-                             ShardedGraph::Build(pinned, num_shards,
-                                                 kPartitioner));
-  auto view = std::make_shared<const ShardedGraph>(std::move(built));
-
-  MutexLock lock(mu_);
-  ++stats_.sharded_builds;
-  Slot* slot = lru_.Touch(name);
-  if (slot == nullptr || slot->graph != pinned) {
-    // The name was evicted/re-bound while we built, or it is a catalog
-    // dataset the store never held: hand the view back uncached.
-    return view;
-  }
-  if (auto it = slot->sharded.find(num_shards); it != slot->sharded.end()) {
-    // A concurrent builder won the race; serve its view, drop ours.
-    return it->second;
-  }
-  const size_t new_bytes = SlotBytes(*slot) + view->MemoryBytes();
-  if (max_bytes_ != 0 && new_bytes > max_bytes_) {
-    // Caching would make this slot alone overflow the budget (EvictLocked
-    // could then never satisfy it). Serve the view transiently.
-    return view;
-  }
-  slot->sharded[num_shards] = view;
-  lru_.Recharge(name, new_bytes);
-  // The grown slot may push the store over budget: demote colder datasets.
-  // Touch above made this slot most-recent, so it is never its own victim.
-  EvictLocked();
-  return view;
-}
-
 GraphPtr GraphStore::ReloadLocked(const std::string& name) {
   Result<SpillTier::Loaded> loaded = spill_->Get(name);
   if (!loaded.ok()) return nullptr;
@@ -196,7 +131,7 @@ GraphPtr GraphStore::ReloadLocked(const std::string& name) {
   evicted_.Revive(name);
   const uint64_t generation = loaded->meta;
   next_generation_ = std::max(next_generation_, generation + 1);
-  lru_.Insert(name, Slot{graph, generation, {}}, bytes);
+  lru_.Insert(name, Slot{graph, generation}, bytes);
   // Promotion copies up — the disk entry is kept, so a later eviction of a
   // clean entry skips re-serialization and a restart still recovers it.
   EvictLocked();

@@ -64,7 +64,6 @@ class ParamMap {
 ///   tolerance, max_iterations, epsilon, walks, seed, top_k
 /// Execution-only keys (accepted here, never forwarded to kernels):
 ///   threads                 — kernel thread budget
-///   shards                  — shard count for shard-local execution
 ///   deadline_ms             — scheduler deadline (see Scheduler::Enqueue)
 /// Unknown keys are rejected (catches typos in task specs).
 Result<AlgorithmRequest> BuildRequest(const Graph& graph,
@@ -80,10 +79,10 @@ Result<AlgorithmRequest> BuildRequest(const Graph& graph,
 ///     "pers_pagerank" fingerprint identically);
 ///   - aliased parameter keys collapse the way `BuildRequest` resolves them
 ///     (source/reference/r; maxloop overrides k; sigma shadows scoring);
-///   - execution-only knobs (`threads=`, `shards=`, `deadline_ms=`) are
-///     excluded: every kernel is bit-identical at any thread *and shard*
-///     count, and a deadline changes whether the task runs, never what it
-///     computes — so none may split (or collide) cache entries;
+///   - execution-only knobs (`threads=`, `deadline_ms=`) are excluded:
+///     every kernel is bit-identical at any thread count, and a deadline
+///     changes whether the task runs, never what it computes — so neither
+///     may split (or collide) cache entries;
 ///   - dataset names, keys and values are %-escaped, so distinct specs can
 ///     never collide.
 /// Values are compared textually: "0.85" and ".85" fingerprint differently,

@@ -407,6 +407,11 @@ Status SpillTier::Put(const std::string& key, std::string_view payload,
 }
 
 void SpillTier::FlushWorker() {
+  // Files indexed since the manifest was last written. The manifest is
+  // rewritten when the queue drains or `kManifestBatchFiles` files are
+  // unlisted, not once per file, and `flushing_` stays set until it is, so
+  // Flush() remains a barrier that includes it.
+  size_t unlisted = 0;
   for (;;) {
     std::string key;
     SpillPayloadPtr payload;
@@ -414,28 +419,42 @@ void SpillTier::FlushWorker() {
     uint64_t seq = 0;
     {
       MutexLock lock(buffer_mu_);
-      work_cv_.Wait(buffer_mu_, [&]() CYR_REQUIRES(buffer_mu_) {
-        return stop_ || (!flush_queue_.empty() && !flush_paused_);
-      });
-      if (flush_queue_.empty()) {
-        if (stop_) return;  // drained — every accepted write is on disk
-        continue;
+      if (unlisted == 0 || !flush_queue_.empty()) {
+        work_cv_.Wait(buffer_mu_, [&]() CYR_REQUIRES(buffer_mu_) {
+          return stop_ || (!flush_queue_.empty() && !flush_paused_);
+        });
+        if (flush_queue_.empty()) {
+          if (stop_) return;  // drained — every accepted write is on disk
+          continue;
+        }
+        key = std::move(flush_queue_.front());
+        flush_queue_.pop_front();
+        auto it = pending_.find(key);
+        if (it == pending_.end() || !it->second.queued) {
+          continue;  // erased, or a stale duplicate queue slot
+        }
+        it->second.queued = false;
+        payload = it->second.payload;
+        meta = it->second.meta;
+        seq = it->second.seq;
+        flushing_ = true;
       }
-      key = std::move(flush_queue_.front());
-      flush_queue_.pop_front();
-      auto it = pending_.find(key);
-      if (it == pending_.end() || !it->second.queued) {
-        continue;  // erased, or a stale duplicate queue slot
-      }
-      it->second.queued = false;
-      payload = it->second.payload;
-      meta = it->second.meta;
-      seq = it->second.seq;
-      flushing_ = true;
     }
     // Serialize + compress + write with no lock held — this is the whole
     // point of the write-behind tier.
-    FlushOne(key, payload, meta, seq);
+    if (payload != nullptr && FlushOne(key, payload, meta, seq)) ++unlisted;
+    if (unlisted != 0) {
+      bool drained = false;
+      {
+        MutexLock lock(buffer_mu_);
+        drained = flush_queue_.empty();
+      }
+      // More of the batch to come, and a crash would lose little recency.
+      if (!drained && unlisted < kManifestBatchFiles) continue;
+      MutexLock disk_lock(mu_);
+      WriteManifestLocked();
+      unlisted = 0;
+    }
     {
       MutexLock lock(buffer_mu_);
       flushing_ = false;
@@ -444,7 +463,7 @@ void SpillTier::FlushWorker() {
   }
 }
 
-void SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
+bool SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
                          uint64_t meta, uint64_t seq) {
   const std::string raw = payload->Serialize();
   const std::string file = EncodeSpillFile(key, raw, meta);
@@ -461,7 +480,7 @@ void SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
       WriteManifestLocked();
     }
     DropPending(key, seq);
-    return;
+    return false;
   }
   const Status written = WriteSpillFile(key, file);
   if (!written.ok()) {
@@ -483,12 +502,12 @@ void SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
       last_flush_error_ = written;
     }
     DropPending(key, seq);
-    return;
+    return false;
   }
-  FinishPending(key, seq, Info{meta, raw.size()}, file.size());
+  return FinishPending(key, seq, Info{meta, raw.size()}, file.size());
 }
 
-void SpillTier::FinishPending(const std::string& key, uint64_t seq,
+bool SpillTier::FinishPending(const std::string& key, uint64_t seq,
                               Info info, size_t file_bytes) {
   MutexLock lock(buffer_mu_);
   auto it = pending_.find(key);
@@ -504,11 +523,7 @@ void SpillTier::FinishPending(const std::string& key, uint64_t seq,
     pending_.erase(it);
     lock.Unlock();
     drained_cv_.NotifyAll();
-    // The manifest write is file IO: do it off buffer_mu_ so enqueues
-    // never wait behind it.
-    MutexLock disk_lock(mu_);
-    WriteManifestLocked();
-    return;
+    return true;
   }
   if (it == pending_.end()) {
     // Erased while the flush was in flight: the rename above resurrected
@@ -518,10 +533,11 @@ void SpillTier::FinishPending(const std::string& key, uint64_t seq,
     lock.Unlock();
     MutexLock disk_lock(mu_);
     if (!lru_.Contains(key)) RemoveFileLocked(key);
-    return;
+    return false;
   }
   // Superseded while in flight: the newer seq holds a queue slot and its
   // flush will overwrite the file we just wrote. Leave everything alone.
+  return false;
 }
 
 void SpillTier::DropPending(const std::string& key, uint64_t seq) {

@@ -247,6 +247,12 @@ class SpillTier {
   /// re-binding a dataset name), not evicting it under pressure.
   void Erase(const std::string& key) CYR_EXCLUDES(buffer_mu_, mu_);
 
+  /// The flush thread rewrites the manifest when its queue drains, or after
+  /// this many files flushed since the last rewrite while the queue stays
+  /// busy: a crash mid-burst then leaves at most this many files unlisted
+  /// (recovered, but as the coldest entries).
+  static constexpr size_t kManifestBatchFiles = 16;
+
   /// Drops every live entry (buffered or on disk) whose key starts with
   /// `prefix`; returns how many. Used by the `ResultCache` to invalidate a
   /// re-bound dataset's spilled results alongside its in-memory ones.
@@ -304,14 +310,15 @@ class SpillTier {
   void FlushWorker() CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Flushes one buffered write (off both locks for the expensive parts).
-  void FlushOne(const std::string& key, const SpillPayloadPtr& payload,
+  /// True when it indexed a new file, which leaves the manifest stale.
+  bool FlushOne(const std::string& key, const SpillPayloadPtr& payload,
                 uint64_t meta, uint64_t seq) CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Completes a successful flush: indexes the renamed file, then removes
   /// the buffer entry if its seq still matches (erased → the file is
   /// removed again; superseded → the newer flush owns the file), waking
-  /// backpressure and Flush waiters.
-  void FinishPending(const std::string& key, uint64_t seq, Info info,
+  /// backpressure and Flush waiters. True when it indexed the file.
+  bool FinishPending(const std::string& key, uint64_t seq, Info info,
                      size_t file_bytes) CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Removes `key` from the buffer if its seq still matches, without
@@ -393,8 +400,9 @@ class SpillTier {
   uint64_t next_seq_ CYR_GUARDED_BY(buffer_mu_) = 0;
   uint64_t backpressure_waits_ CYR_GUARDED_BY(buffer_mu_) = 0;
   bool flush_paused_ CYR_GUARDED_BY(buffer_mu_) = false;
-  /// The flush thread is writing an entry it popped (its file, index
-  /// insert, and manifest), so `Flush()` must keep waiting.
+  /// The flush thread is writing an entry it popped (its file and index
+  /// insert), or has indexed files whose manifest rewrite is still due,
+  /// so `Flush()` must keep waiting.
   bool flushing_ CYR_GUARDED_BY(buffer_mu_) = false;
   bool stop_ CYR_GUARDED_BY(buffer_mu_) = false;
   // Started in the constructor, joined in the destructor; never touched

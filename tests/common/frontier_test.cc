@@ -19,7 +19,7 @@ struct SyntheticTraversal {
 
   FrontierEngine::Callbacks Hook(FrontierEngine* engine, uint32_t max_rounds) {
     FrontierEngine::Callbacks callbacks;
-    callbacks.expand = [this](std::span<const uint32_t> chunk, uint32_t,
+    callbacks.expand = [this](std::span<const uint32_t> chunk,
                               FrontierEngine::Emitter& out) {
       for (uint32_t u : chunk) {
         for (uint32_t step : {1u, 2u}) {
@@ -105,7 +105,7 @@ TEST(FrontierEngineTest, CandidatesDeduplicatedPerChunkNotPerRound) {
     engine.Seed(10);
     std::vector<uint32_t> seen;
     FrontierEngine::Callbacks callbacks;
-    callbacks.expand = [](std::span<const uint32_t> chunk, uint32_t,
+    callbacks.expand = [](std::span<const uint32_t> chunk,
                           FrontierEngine::Emitter& out) {
       for (uint32_t u : chunk) {
         (void)u;
@@ -136,7 +136,7 @@ TEST(FrontierEngineTest, DeltaLogPreservesEmissionOrderAndDuplicates) {
   // real traversals).
   const std::vector<uint32_t> row = {3, 5, 6};
   FrontierEngine::Callbacks callbacks;
-  callbacks.expand = [&row](std::span<const uint32_t>, uint32_t,
+  callbacks.expand = [&row](std::span<const uint32_t>,
                             FrontierEngine::Emitter& out) {
     out.Delta(5, 1.0);
     out.Deltas(row, 2.0);
@@ -160,7 +160,6 @@ TEST(FrontierEngineTest, NextDeduplicatesWithinARound) {
   std::vector<size_t> frontier_sizes;
   FrontierEngine::Callbacks callbacks;
   callbacks.expand = [&frontier_sizes](std::span<const uint32_t> chunk,
-                                       uint32_t,
                                        FrontierEngine::Emitter& out) {
     frontier_sizes.push_back(chunk.size());
     out.Candidate(4);
@@ -183,7 +182,7 @@ TEST(FrontierEngineTest, SeedsAreDeduplicated) {
   engine.Seed(5);
   std::vector<uint32_t> expanded;
   FrontierEngine::Callbacks callbacks;
-  callbacks.expand = [&expanded](std::span<const uint32_t> chunk, uint32_t,
+  callbacks.expand = [&expanded](std::span<const uint32_t> chunk,
                                  FrontierEngine::Emitter&) {
     expanded.insert(expanded.end(), chunk.begin(), chunk.end());
   };
@@ -198,7 +197,7 @@ TEST(FrontierEngineTest, RoundDoneMaySeedTheNextFrontier) {
   engine.Seed(0);
   std::vector<std::vector<uint32_t>> rounds_seen;
   FrontierEngine::Callbacks callbacks;
-  callbacks.expand = [&rounds_seen](std::span<const uint32_t> chunk, uint32_t,
+  callbacks.expand = [&rounds_seen](std::span<const uint32_t> chunk,
                                     FrontierEngine::Emitter&) {
     rounds_seen.emplace_back(chunk.begin(), chunk.end());
   };
@@ -220,94 +219,12 @@ TEST(FrontierEngineTest, EmptySeedRunsZeroRounds) {
   FrontierEngine engine(8, WithThreads(4));
   bool expanded = false;
   FrontierEngine::Callbacks callbacks;
-  callbacks.expand = [&expanded](std::span<const uint32_t>, uint32_t,
+  callbacks.expand = [&expanded](std::span<const uint32_t>,
                                  FrontierEngine::Emitter&) {
     expanded = true;
   };
   engine.Run(callbacks);
   EXPECT_FALSE(expanded);
-}
-
-TEST(FrontierEngineTest, MergeTraceIdenticalAcrossShardBounds) {
-  // Shard bounds refine the *execution* chunks only: canonical chunk
-  // boundaries — and with them the merge batches — are cut blind to the
-  // bounds. The delta log (no dedup, pure concatenation) and the admission
-  // sequence (first occurrences keep their positions) must be identical
-  // for any partition, at any thread count. The raw candidate trace is
-  // the one documented exception: the emitter dedups per *execution*
-  // chunk, so a canonical chunk split at a shard crossing may repeat a
-  // candidate it would otherwise have collapsed — never reordering or
-  // dropping a first occurrence. The bounds are chosen to cut through
-  // canonical chunks (tiny chunk_weight), to not divide n, and to include
-  // empty shards.
-  SyntheticTraversal base(101);
-  {
-    FrontierEngine engine(101, WithThreads(1, /*chunk_weight=*/4));
-    engine.Seed(0);
-    base.visited.insert(0);
-    engine.Run(base.Hook(&engine, 30));
-  }
-  EXPECT_FALSE(base.delta_trace.empty());
-  const std::vector<std::vector<uint32_t>> partitions = {
-      {0, 101},                  // one shard — must equal no bounds at all
-      {0, 50, 101},              // near-even split
-      {0, 34, 67, 101},          // 3 does not divide 101
-      {0, 0, 25, 25, 101},       // empty shards are legal
-      {0, 1, 3, 7, 20, 60, 101}  // many uneven cuts
-  };
-  for (const std::vector<uint32_t>& bounds : partitions) {
-    for (uint32_t threads : {1u, 4u}) {
-      SyntheticTraversal other(101);
-      FrontierEngine::Options options = WithThreads(threads,
-                                                    /*chunk_weight=*/4);
-      options.shard_bounds = bounds;
-      FrontierEngine engine(101, options);
-      engine.Seed(0);
-      other.visited.insert(0);
-      engine.Run(other.Hook(&engine, 30));
-      EXPECT_EQ(base.admission_trace, other.admission_trace)
-          << "threads=" << threads << " shards=" << bounds.size() - 1;
-      EXPECT_EQ(base.delta_trace, other.delta_trace)
-          << "threads=" << threads << " shards=" << bounds.size() - 1;
-      EXPECT_EQ(base.sums, other.sums);
-      EXPECT_EQ(base.visited, other.visited);
-    }
-  }
-  // A single shard spanning everything refines nothing: even the raw
-  // candidate trace matches the unsharded run exactly.
-  SyntheticTraversal whole(101);
-  FrontierEngine::Options options = WithThreads(4, /*chunk_weight=*/4);
-  const std::vector<uint32_t> trivial = {0, 101};
-  options.shard_bounds = trivial;
-  FrontierEngine engine(101, options);
-  engine.Seed(0);
-  whole.visited.insert(0);
-  engine.Run(whole.Hook(&engine, 30));
-  EXPECT_EQ(base.candidate_trace, whole.candidate_trace);
-}
-
-TEST(FrontierEngineTest, ExpandReceivesTheOwningShard) {
-  // Every execution chunk lies inside one shard, and the expand callback
-  // is told which. Single-threaded so the trace vector needs no lock.
-  const std::vector<uint32_t> bounds = {0, 3, 3, 10, 16};
-  FrontierEngine::Options options = WithThreads(1, /*chunk_weight=*/2);
-  options.shard_bounds = bounds;
-  FrontierEngine engine(16, options);
-  for (uint32_t u = 0; u < 16; ++u) engine.Seed(u);
-  std::vector<std::pair<uint32_t, uint32_t>> node_shard;
-  FrontierEngine::Callbacks callbacks;
-  callbacks.expand = [&node_shard](std::span<const uint32_t> chunk,
-                                   uint32_t shard,
-                                   FrontierEngine::Emitter&) {
-    for (uint32_t u : chunk) node_shard.emplace_back(u, shard);
-  };
-  engine.Run(callbacks);
-  ASSERT_EQ(node_shard.size(), 16u);
-  for (const auto& [u, shard] : node_shard) {
-    ASSERT_LT(shard + 1, bounds.size());
-    EXPECT_GE(u, bounds[shard]) << "node " << u;
-    EXPECT_LT(u, bounds[shard + 1]) << "node " << u;
-  }
 }
 
 TEST(FrontierEngineTest, ConcurrentEnginesDoNotInterfere) {

@@ -41,17 +41,26 @@ Graph DanglingHeavyGraph(NodeId num_sinks) {
 }
 
 TEST(DeterminismTest, PageRankBitIdenticalAcrossThreadCounts) {
-  const Graph g = MakeBaGraph(600, 17);
-  PageRankOptions options;
-  options.num_threads = 1;
-  const PageRankScores base = ComputePageRank(g, options).value();
-  for (uint32_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    const PageRankScores other = ComputePageRank(g, options).value();
-    EXPECT_EQ(base.scores, other.scores) << "threads=" << threads;
-    EXPECT_EQ(base.iterations, other.iterations);
-    EXPECT_EQ(base.residual, other.residual);
-    EXPECT_EQ(base.converged, other.converged);
+  // The 3-cycle gives more threads than nodes.
+  GraphBuilder builder;
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 0);
+  const Graph tiny = builder.Build().value();
+  const Graph ba = MakeBaGraph(600, 17);
+  for (const Graph* g : {&ba, &tiny}) {
+    PageRankOptions options;
+    options.num_threads = 1;
+    const PageRankScores base = ComputePageRank(*g, options).value();
+    for (uint32_t threads : {2u, 4u, 8u}) {
+      options.num_threads = threads;
+      const PageRankScores other = ComputePageRank(*g, options).value();
+      EXPECT_EQ(base.scores, other.scores)
+          << "nodes=" << g->num_nodes() << " threads=" << threads;
+      EXPECT_EQ(base.iterations, other.iterations);
+      EXPECT_EQ(base.residual, other.residual);
+      EXPECT_EQ(base.converged, other.converged);
+    }
   }
 }
 
@@ -62,10 +71,14 @@ TEST(DeterminismTest, PersonalizedPageRankAndCheiRankBitIdentical) {
   const PageRankScores ppr1 =
       ComputePersonalizedPageRank(g, 3, options).value();
   const PageRankScores chei1 = ComputeCheiRank(g, options).value();
-  options.num_threads = 8;
-  EXPECT_EQ(ppr1.scores,
-            ComputePersonalizedPageRank(g, 3, options).value().scores);
-  EXPECT_EQ(chei1.scores, ComputeCheiRank(g, options).value().scores);
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    options.num_threads = threads;
+    EXPECT_EQ(ppr1.scores,
+              ComputePersonalizedPageRank(g, 3, options).value().scores)
+        << "threads=" << threads;
+    EXPECT_EQ(chei1.scores, ComputeCheiRank(g, options).value().scores)
+        << "threads=" << threads;
+  }
 }
 
 TEST(DeterminismTest, PageRankOnDanglingHeavyGraph) {

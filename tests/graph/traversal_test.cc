@@ -99,15 +99,19 @@ Graph RandomGraph(NodeId n, uint64_t seed) {
 }
 
 TEST(TraversalTest, BfsDistancesBitIdenticalAcrossThreadCounts) {
-  const Graph g = RandomGraph(2000, 11);
-  for (Direction direction : {Direction::kForward, Direction::kBackward}) {
-    const auto base = BfsDistances(g, 0, direction, kUnreachable,
-                                   /*num_threads=*/1)
-                          .value();
-    for (uint32_t threads : {2u, 4u, 8u}) {
-      EXPECT_EQ(base, BfsDistances(g, 0, direction, kUnreachable, threads)
-                          .value())
-          << "threads=" << threads;
+  // The 5-node loop gives more threads than nodes.
+  const Graph random = RandomGraph(2000, 11);
+  const Graph tiny = LoopPlusIsolated();
+  for (const Graph* g : {&random, &tiny}) {
+    for (Direction direction : {Direction::kForward, Direction::kBackward}) {
+      const auto base = BfsDistances(*g, 0, direction, kUnreachable,
+                                     /*num_threads=*/1)
+                            .value();
+      for (uint32_t threads : {2u, 4u, 8u}) {
+        EXPECT_EQ(base, BfsDistances(*g, 0, direction, kUnreachable, threads)
+                            .value())
+            << "nodes=" << g->num_nodes() << " threads=" << threads;
+      }
     }
   }
 }

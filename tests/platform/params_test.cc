@@ -147,31 +147,16 @@ TEST(BuildRequestTest, DefaultsWhenAbsent) {
   EXPECT_DOUBLE_EQ(request.alpha, 0.85);
   EXPECT_EQ(request.max_cycle_length, 3u);
   EXPECT_EQ(request.scoring, ScoringFunction::kExponential);
-  EXPECT_EQ(request.num_shards, 0u);  // monolithic execution
 }
 
-TEST(BuildRequestTest, ParsesShardCount) {
+TEST(BuildRequestTest, RejectsTheRemovedShardsKey) {
+  // Shard-local execution is gone, and shards= with it: it is an unknown
+  // key like any typo, not a silently ignored knob.
   const Graph g = LabeledGraph();
-  EXPECT_EQ(BuildRequest(g, ParamMap::Parse("shards=4").value())
-                .value()
-                .num_shards,
-            4u);
-  EXPECT_EQ(BuildRequest(g, ParamMap::Parse("shards=0").value())
-                .value()
-                .num_shards,
-            0u);
-  // Anywhere in [0, 2^16) is accepted; the cap and anything non-numeric
-  // are rejected with a range-stating error.
-  EXPECT_EQ(BuildRequest(g, ParamMap::Parse("shards=65535").value())
-                .value()
-                .num_shards,
-            65535u);
-  EXPECT_FALSE(BuildRequest(g, ParamMap::Parse("shards=-1").value()).ok());
-  const auto capped = BuildRequest(g, ParamMap::Parse("shards=65536").value());
-  ASSERT_FALSE(capped.ok());
-  EXPECT_EQ(capped.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(capped.status().message().find("shards"), std::string::npos);
-  EXPECT_FALSE(BuildRequest(g, ParamMap::Parse("shards=many").value()).ok());
+  const auto request = BuildRequest(g, ParamMap::Parse("shards=4").value());
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(request.status().message().find("shards"), std::string::npos);
 }
 
 TEST(BuildRequestTest, RejectsIntegersBeyondTheirFieldRange) {
@@ -234,17 +219,6 @@ TEST(TaskFingerprintTest, ThreadsIsExecutionOnly) {
   EXPECT_EQ(Fp("d", "pagerank", "alpha=0.85, threads=8"),
             Fp("d", "pagerank", "alpha=0.85"));
   EXPECT_EQ(Fp("d", "pagerank", "threads=1"), Fp("d", "pagerank", "threads=4"));
-}
-
-TEST(TaskFingerprintTest, ShardsIsExecutionOnly) {
-  // Like threads=, the shard count only picks an execution strategy: the
-  // sharded kernels are bit-identical to the monolithic path, so two
-  // submissions differing only in shards= must share one cached result.
-  EXPECT_EQ(Fp("d", "pagerank", "alpha=0.85, shards=8"),
-            Fp("d", "pagerank", "alpha=0.85"));
-  EXPECT_EQ(Fp("d", "pagerank", "shards=1"), Fp("d", "pagerank", "shards=4"));
-  EXPECT_EQ(Fp("d", "pagerank", "threads=2, shards=3"),
-            Fp("d", "pagerank", ""));
 }
 
 TEST(TaskFingerprintTest, ParameterAliasesCollapse) {

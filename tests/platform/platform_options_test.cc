@@ -17,7 +17,6 @@ TEST(PlatformOptionsTest, EmptyStringYieldsDefaults) {
   EXPECT_EQ(parsed.max_retained_results, 0u);
   EXPECT_EQ(parsed.num_workers, 0u);
   EXPECT_EQ(parsed.default_threads, 0u);
-  EXPECT_EQ(parsed.num_shards, 0u);
   EXPECT_EQ(parsed.uuid_seed, 0u);
   EXPECT_EQ(parsed.max_tasks_per_submission, 0u);
   EXPECT_EQ(parsed.spill_dir, "");
@@ -31,7 +30,7 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
       PlatformOptions::FromString(
           "graph_store_bytes=1000, result_cache_bytes=2000, "
           "max_retained_results=30, num_workers=4, default_threads=2, "
-          "num_shards=3, uuid_seed=99, max_tasks_per_submission=16, "
+          "uuid_seed=99, max_tasks_per_submission=16, "
           "spill_dir=/tmp/spill, graph_spill_bytes=4000, "
           "result_spill_bytes=5000, spill_write_behind_bytes=6000, "
           "spill_compression=true")
@@ -41,7 +40,6 @@ TEST(PlatformOptionsTest, ParsesEveryKnob) {
   EXPECT_EQ(parsed.max_retained_results, 30u);
   EXPECT_EQ(parsed.num_workers, 4u);
   EXPECT_EQ(parsed.default_threads, 2u);
-  EXPECT_EQ(parsed.num_shards, 3u);
   EXPECT_EQ(parsed.uuid_seed, 99u);
   EXPECT_EQ(parsed.max_tasks_per_submission, 16u);
   EXPECT_EQ(parsed.spill_dir, "/tmp/spill");
@@ -84,7 +82,6 @@ TEST(PlatformOptionsTest, RoundTripsThroughToString) {
   options.max_retained_results = 77;
   options.num_workers = 3;
   options.default_threads = 5;
-  options.num_shards = 4;
   options.uuid_seed = 42;
   options.max_tasks_per_submission = 9;
   options.spill_dir = "/var/tmp/cyclerank-spill";
@@ -94,6 +91,8 @@ TEST(PlatformOptionsTest, RoundTripsThroughToString) {
   const PlatformOptions reparsed =
       PlatformOptions::FromString(options.ToString()).value();
   EXPECT_EQ(reparsed, options);
+  // The retired num_shards knob is no longer rendered.
+  EXPECT_EQ(options.ToString().find("num_shards"), std::string::npos);
   // Defaults round-trip too.
   EXPECT_EQ(PlatformOptions::FromString(PlatformOptions{}.ToString()).value(),
             PlatformOptions{});
@@ -119,12 +118,6 @@ TEST(PlatformOptionsTest, MalformedValuesRejected) {
   EXPECT_FALSE(PlatformOptions::FromString("graph_store_bytes=m").ok());
   EXPECT_FALSE(PlatformOptions::FromString("uuid_seed=-3").ok());
   EXPECT_FALSE(PlatformOptions::FromString("default_threads=4294967296").ok());
-  // Shard counts share threads' parse rules plus the 2^16 partition cap.
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=-1").ok());
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=abc").ok());
-  EXPECT_FALSE(PlatformOptions::FromString("num_shards=65536").ok());
-  EXPECT_EQ(PlatformOptions::FromString("num_shards=65535").value().num_shards,
-            65535u);
   EXPECT_FALSE(PlatformOptions::FromString("num_workers").ok());
 }
 
@@ -185,6 +178,19 @@ TEST(PlatformOptionsTest, LsmKnobsParse) {
   ExpectRejected("spill_compression=maybe", StatusCode::kParseError,
                  "spill_compression");
   EXPECT_FALSE(PlatformOptions::FromString("spill_write_behind_bytes=-1").ok());
+}
+
+TEST(PlatformOptionsTest, RetiredNumShardsKey) {
+  // Kernels always run on the monolithic graph, which num_shards=0|1
+  // always meant: those parse as no-ops so old configs keep working. A
+  // real shard count is rejected, naming the key; garbage is a parse
+  // error.
+  EXPECT_EQ(PlatformOptions::FromString("num_shards=0").value(),
+            PlatformOptions{});
+  EXPECT_EQ(PlatformOptions::FromString("num_shards=1").value(),
+            PlatformOptions{});
+  ExpectRejected("num_shards=2", StatusCode::kInvalidArgument, "num_shards");
+  ExpectRejected("num_shards=x", StatusCode::kParseError, "num_shards");
 }
 
 TEST(PlatformOptionsTest, AcceptsTheEndToEndBenchmarkDaemonOptions) {

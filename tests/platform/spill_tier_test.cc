@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "storage_test_util.h"
 
@@ -301,6 +302,55 @@ TEST(SpillTierWriteBehindTest, DestructionDrainsBufferLosingNothing) {
   EXPECT_EQ(revived.Get("b").value().payload, "payload-b");
   EXPECT_EQ(revived.Get("c").value().payload, "payload-c");
   EXPECT_EQ(revived.MaxMeta(), 3u);
+}
+
+/// Pauses the flusher, queues `entries` Puts, resumes and flushes; returns
+/// the `Env` calls that took. Each flushed file costs two (tmp write,
+/// rename), and so does each manifest rewrite.
+uint64_t EnvOpsToFlushABatch(SpillTier& tier, FaultInjectingEnv& env,
+                             size_t entries) {
+  const uint64_t before = env.stats().ops;
+  tier.SetFlushPausedForTest(true);
+  for (size_t i = 0; i < entries; ++i) {
+    EXPECT_TRUE(tier.Put("k" + std::to_string(i), "payload", 1).ok());
+  }
+  tier.SetFlushPausedForTest(false);
+  EXPECT_TRUE(tier.Flush().ok());
+  return env.stats().ops - before;
+}
+
+TEST(SpillTierWriteBehindTest, ManifestWrittenOncePerDrainedBatch) {
+  FaultInjectingEnv env(Env::Default());
+  SpillTierOptions options = WriteBehind(1u << 20);
+  options.env = &env;
+  const std::string dir = FreshSpillDir("wb_manifest_batch");
+  {
+    SpillTier tier(dir, options, "dataset");
+    // 8 files and one manifest rewrite for the whole batch, and Flush() is
+    // a barrier that includes it.
+    EXPECT_EQ(EnvOpsToFlushABatch(tier, env, 8), 8u * 2 + 2);
+  }
+  // The batch-end manifest lists every entry: recovery finds all 8.
+  SpillTier revived(dir, options, "dataset");
+  EXPECT_EQ(revived.stats().recovered_files, 8u);
+  std::ifstream manifest(dir + "/manifest");
+  std::string line;
+  int listed = -1;  // the first line is the format magic
+  while (std::getline(manifest, line)) ++listed;
+  EXPECT_EQ(listed, 8);
+}
+
+TEST(SpillTierWriteBehindTest, ManifestRewrittenWithinABatchThatStaysBusy) {
+  // The queue holds 2.5 caps' worth of entries when the flusher resumes,
+  // so it stays non-empty until the last one: the manifest is rewritten
+  // after each `kManifestBatchFiles` files, and once more when it drains.
+  FaultInjectingEnv env(Env::Default());
+  SpillTierOptions options = WriteBehind(1u << 20);
+  options.env = &env;
+  SpillTier tier(FreshSpillDir("wb_manifest_cap"), options, "dataset");
+  constexpr size_t kEntries = 2 * SpillTier::kManifestBatchFiles +
+                           SpillTier::kManifestBatchFiles / 2;
+  EXPECT_EQ(EnvOpsToFlushABatch(tier, env, kEntries), kEntries * 2 + 3 * 2);
 }
 
 TEST(SpillTierWriteBehindTest, BackpressureEngagesAtByteBound) {

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Runs the perf benchmark suite (perf_pagerank, perf_cyclerank,
 # perf_ppr_variants, the perf_result_cache cache-hit sweep, the
-# perf_forward_push frontier-engine sweeps, the perf_datastore
-# storage-layer + spill-tier sweeps, and the perf_sharding shard-local
-# compute sweeps) with --benchmark_format=json and merges the results
-# into one file, so the repo's perf trajectory is tracked PR over PR.
+# perf_forward_push frontier-engine sweeps, and the perf_datastore
+# storage-layer + spill-tier sweeps) with --benchmark_format=json and
+# merges the results into one file, so the repo's perf trajectory is
+# tracked PR over PR.
 #
 # Usage:
-#   tools/run_benchmarks.sh [--smoke] [OUT_JSON]
+#   tools/run_benchmarks.sh [--smoke] [OUT_JSON]   (default: bench_results.json)
 #
 #   --smoke   CI mode: every suite runs with a minimal measurement time so
 #             the binaries are exercised end-to-end (they cannot silently
@@ -26,14 +26,16 @@
 #   BENCH_SPILL_DIR optional root for the spill-tier benchmarks' scratch
 #                 files (default: a fresh mktemp dir, removed on exit)
 #
-# The merged JSON carries a `single_core_host` flag: on a 1-CPU runner the
-# thread sweeps measure parallel-engine *overhead bounds*, not scaling, and
-# downstream tooling must not read them as speedup claims.
+# The merged JSON states where it was measured: `host_cpus`, `build_type`
+# and `cxx_compiler` (id and version, read through ${BUILD_DIR}/CMakeCache.txt),
+# plus a `single_core_host` flag: on a 1-CPU runner the thread sweeps
+# measure parallel-engine *overhead bounds*, not scaling, and downstream
+# tooling must not read them as speedup claims.
 #
-# Example (the PR-9 evidence file; earlier PRs wrote BENCH_PR<n>.json the
-# same way):
+# Example (committed evidence files are named BENCH_PR<n>.json; pass the
+# name as OUT_JSON):
 #   cmake -B build -S . && cmake --build build -j
-#   tools/run_benchmarks.sh BENCH_PR9.json
+#   tools/run_benchmarks.sh   # writes bench_results.json
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,7 +45,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
   shift
 fi
-OUT=${1:-BENCH_PR9.json}
+OUT=${1:-bench_results.json}
 
 # The spill-tier benchmarks write real files; point them at a per-run temp
 # dir (honored via BENCH_SPILL_DIR in bench/perf_datastore.cc) so smoke runs
@@ -54,7 +56,7 @@ if [[ -z "${BENCH_SPILL_DIR:-}" ]]; then
   SPILL_DIR_CLEANUP=1
 fi
 SUITES=(perf_pagerank perf_cyclerank perf_ppr_variants perf_result_cache
-        perf_forward_push perf_datastore perf_sharding)
+        perf_forward_push perf_datastore)
 TMP_DIR=$(mktemp -d)
 trap 'rm -rf "${TMP_DIR}"; [[ -n "${SPILL_DIR_CLEANUP:-}" ]] && rm -rf "${BENCH_SPILL_DIR}"' EXIT
 
@@ -92,10 +94,10 @@ if [[ "${SMOKE}" == 1 ]]; then
   exit 0
 fi
 
-python3 - "${OUT}" "${TMP_DIR}" "${SUITES[@]}" <<'EOF'
+python3 - "${OUT}" "${TMP_DIR}" "${BUILD_DIR}" "${SUITES[@]}" <<'EOF'
 import json, os, subprocess, sys
 
-out_path, tmp_dir, *suites = sys.argv[1:]
+out_path, tmp_dir, build_dir, *suites = sys.argv[1:]
 merged = {"suites": {}}
 for suite in suites:
     with open(f"{tmp_dir}/{suite}.json") as f:
@@ -105,14 +107,33 @@ for suite in suites:
 cpus = os.cpu_count() or merged.get("context", {}).get("num_cpus", 0)
 merged["host_cpus"] = cpus
 merged["single_core_host"] = cpus <= 1
-# The perf_sharding sweep's configuration, stamped so downstream tooling
-# can interpret the shards= counter rows without parsing benchmark names.
-merged["shard_sweep"] = {
-    "kernel_shard_counts": [0, 2, 4, 8],  # 0 = monolithic baseline
-    "build_shard_counts": [2, 4, 8, 16],
-    "partitioners": ["contiguous_range", "degree_balanced"],
-    "bit_identical_across_shards": True,  # enforced by sharding_grid_test
-}
+
+# Build provenance from the CMake cache of the tree the suites came from.
+cache = {}
+with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+    for line in f:
+        key, sep, value = line.rstrip("\n").partition("=")
+        if sep and ":" in key:
+            cache[key.split(":", 1)[0]] = value
+merged["build_type"] = cache.get("CMAKE_BUILD_TYPE") or "unset"
+# CMake records the detected compiler id and version next to the cache,
+# under CMakeFiles/<cmake version>/.
+cmake_version = ".".join(cache.get(f"CMAKE_CACHE_{part}_VERSION", "")
+                         for part in ("MAJOR", "MINOR", "PATCH"))
+detected = {}
+try:
+    with open(os.path.join(build_dir, "CMakeFiles", cmake_version,
+                           "CMakeCXXCompiler.cmake")) as f:
+        for line in f:
+            for name in ("CMAKE_CXX_COMPILER_ID", "CMAKE_CXX_COMPILER_VERSION"):
+                if line.startswith(f"set({name} "):
+                    detected[name] = line.split('"')[1]
+except OSError:
+    pass
+merged["cxx_compiler"] = " ".join(
+    [detected.get("CMAKE_CXX_COMPILER_ID", cache.get("CMAKE_CXX_COMPILER",
+                                                      "unknown")),
+     detected.get("CMAKE_CXX_COMPILER_VERSION", "")]).strip()
 if merged["single_core_host"]:
     merged["thread_sweep_caveat"] = (
         "host exposes 1 CPU: Threads(2..8) rows bound the parallel engine's "
