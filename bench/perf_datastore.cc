@@ -139,7 +139,7 @@ BENCHMARK(BM_Graph_CodecRoundTrip)
 
 /// Steady-state upload cost when eviction *demotes* to the disk tier:
 /// every upload past the budget serializes the victim and writes one
-/// spill file (plus manifest upkeep). The delta against
+/// spill file (a tmp write and a rename). The delta against
 /// BM_Datastore_UploadEvict is the price of durability. Arg: nodes.
 void BM_Datastore_SpillEvict(benchmark::State& state) {
   std::vector<GraphPtr> pool;

@@ -69,9 +69,12 @@ inline constexpr int kDatastorePutMu = 300;
 
 /// The individually-locked stores. They never nest with each other (the
 /// facade's `put_mu_` is what orders multi-store operations), so their
-/// relative order is free; each calls into its spill tier and the logger.
+/// relative order is free; the graph store calls into its spill tier and
+/// the logger under its lock.
 inline constexpr int kGraphStoreMu = 400;
 inline constexpr int kResultStoreMu = 410;
+/// `ResultCache::mu_` — memory only: taken under the scheduler's mutex,
+/// it nests outside no other lock.
 inline constexpr int kResultCacheMu = 420;
 inline constexpr int kLogStoreMu = 430;
 inline constexpr int kCatalogMu = 440;

@@ -104,26 +104,11 @@ class ByteBudgetedLru {
     return erased;
   }
 
-  void Clear() {
-    lru_.clear();
-    index_.clear();
-    bytes_ = 0;
-  }
-
   /// All keys, sorted ascending.
   std::vector<std::string> Keys() const {
     std::vector<std::string> out;
     out.reserve(index_.size());
     for (const auto& [key, entry] : index_) out.push_back(key);
-    return out;
-  }
-
-  /// All keys in recency order, most recently used first (the spill tier
-  /// persists this order in its manifest).
-  std::vector<std::string> KeysByRecency() const {
-    std::vector<std::string> out;
-    out.reserve(lru_.size());
-    for (const Entry& entry : lru_) out.push_back(entry.key);
     return out;
   }
 

@@ -41,21 +41,15 @@ Datastore::Datastore(DatasetCatalog* catalog, const PlatformOptions& options,
                                    options.graph_spill_bytes, "dataset")),
       result_spill_(MakeSpillTier(options, env, "results",
                                   options.result_spill_bytes, "result")),
-      // Demoted cache entries share the results' disk budget figure but
-      // not their key namespace (fingerprints vs task ids), hence a tier
-      // of their own.
-      cache_spill_(MakeSpillTier(options, env, "cache",
-                                 options.result_spill_bytes, "cached result")),
       graphs_(options.graph_store_bytes, dataset_spill_.get()),
       results_(options.max_retained_results),
-      result_cache_(options.result_cache_bytes, cache_spill_.get()) {}
+      result_cache_(options.result_cache_bytes) {}
 
 Status Datastore::Flush() {
   // Drain every tier before reporting: a failure in the first must not
   // leave the others' buffers unflushed.
   Status first = Status::OK();
-  for (SpillTier* tier :
-       {dataset_spill_.get(), result_spill_.get(), cache_spill_.get()}) {
+  for (SpillTier* tier : {dataset_spill_.get(), result_spill_.get()}) {
     if (tier == nullptr) continue;
     const Status flushed = tier->Flush();
     if (!flushed.ok() && first.ok()) first = flushed;
@@ -67,7 +61,6 @@ DatastoreSpillStats Datastore::SpillStats() const {
   DatastoreSpillStats stats;
   if (dataset_spill_ != nullptr) stats.datasets = dataset_spill_->stats();
   if (result_spill_ != nullptr) stats.results = result_spill_->stats();
-  if (cache_spill_ != nullptr) stats.cache = cache_spill_->stats();
   return stats;
 }
 
@@ -106,18 +99,22 @@ Result<TaskResult> Datastore::GetResult(const std::string& task_id) {
   // Retention evicted the result from memory (kExpired) — or even its
   // marker (kNotFound) — but the disk tier may still hold it.
   Result<SpillTier::Loaded> loaded = result_spill_->Get(task_id);
+  MutexLock lock(put_mu_);
+  // Look again with writers held off. A concurrent PutResult (the
+  // retry-overwrite path) may have stored a fresh result since the memory
+  // miss above; the memory tier wins — re-admitting the disk copy would
+  // clobber it. And a spill miss may have fallen between a PutResult
+  // evicting this result from memory and demoting it to the tier, both
+  // under put_mu_: the tier holds it now.
+  stored = results_.Get(task_id);
+  if (stored.ok()) return stored;
+  if (!loaded.ok()) loaded = result_spill_->Get(task_id);
   if (loaded.ok()) {
     Result<TaskResult> decoded = DeserializeTaskResult(loaded->payload);
     if (decoded.ok()) {
       // Re-admit to the memory tier (a revived result occupies a fresh
       // retention slot; the oldest may be demoted in its place). The logs
       // were dropped at the original eviction and stay dropped.
-      MutexLock lock(put_mu_);
-      // A concurrent PutResult (the retry-overwrite path) may have stored
-      // a fresh result between the memory miss above and this point; the
-      // memory tier wins — re-admitting the disk copy would clobber it.
-      Result<TaskResult> raced = results_.Get(task_id);
-      if (raced.ok()) return raced;
       DemoteEvictedResultsLocked(results_.Put(*decoded));
       return decoded;
     }

@@ -25,14 +25,13 @@ namespace cyclerank {
 
 class Env;
 
-/// Snapshot of the three disk spill tiers' counters (default-constructed
+/// Snapshot of the two disk spill tiers' counters (default-constructed
 /// zeros for tiers that are disabled) — the monitoring view of recovery
 /// (`recovered_files` / `skipped_corrupt_files`), retry, and
 /// circuit-breaker activity in one poll.
 struct DatastoreSpillStats {
   SpillTierStats datasets;
   SpillTierStats results;
-  SpillTierStats cache;
 };
 
 /// The Datastore of Fig. 1: "responsible for storing and managing
@@ -49,21 +48,21 @@ struct DatastoreSpillStats {
 ///     (`max_retained_results`);
 ///   - `LogStore`    — per-task logs, dropped when their result expires;
 ///
-/// plus the byte-budgeted `ResultCache` of completed results
+/// plus the byte-budgeted, memory-only `ResultCache` of completed results
 /// (`result_cache_bytes`). Splitting the lifecycles means dataset, result,
 /// and log traffic never contend on one mutex, and each store owns exactly
 /// one retention policy.
 ///
-/// With `PlatformOptions::spill_dir` set, the facade additionally owns
-/// three disk `SpillTier`s (`<spill_dir>/datasets`, `<spill_dir>/results`,
-/// `<spill_dir>/cache`): eviction from the memory stores — including the
-/// result cache — *demotes* the victim to disk instead of destroying it,
-/// later lookups transparently reload it, and the tiers survive a process
-/// restart (manifest + recovery scan). Demotion enqueues into each tier's
-/// write-behind buffer (bounded by `spill_write_behind_bytes`), flushed by
-/// a background thread that block-compresses payloads on disk; `Flush()`
-/// is the durability barrier. An empty `spill_dir` keeps the historical
-/// drop-on-evict behavior.
+/// With `PlatformOptions::spill_dir` set, the facade additionally owns two
+/// disk `SpillTier`s (`<spill_dir>/datasets`, `<spill_dir>/results`):
+/// eviction from the graph and result stores *demotes* the victim to disk
+/// instead of destroying it, later lookups transparently reload it, and the
+/// tiers survive a process restart (recovery scan). Demotion enqueues into
+/// each tier's write-behind buffer (bounded by `spill_write_behind_bytes`),
+/// flushed by a background thread that block-compresses payloads on disk;
+/// `Flush()` is the durability barrier. An empty `spill_dir` keeps the
+/// historical drop-on-evict behavior. A `cache/` directory that older
+/// versions left under `spill_dir` is ignored.
 ///
 /// Datasets resolve against (a) graphs uploaded at runtime ("users can
 /// upload new datasets") and (b) an optional backing `DatasetCatalog` of
@@ -179,7 +178,6 @@ class Datastore {
   /// `spill_dir`.
   const SpillTier* dataset_spill() const { return dataset_spill_.get(); }
   const SpillTier* result_spill() const { return result_spill_.get(); }
-  const SpillTier* cache_spill() const { return cache_spill_.get(); }
 
   /// Blocks until every write-behind buffer has reached disk — the
   /// durability barrier for tests and orderly shutdown — then reports
@@ -190,7 +188,7 @@ class Datastore {
   /// individual failures. OK without a `spill_dir`.
   Status Flush();
 
-  /// One-poll snapshot of all three spill tiers' counters (zeros for
+  /// One-poll snapshot of both spill tiers' counters (zeros for
   /// disabled tiers): recovery-scan results, retries, breaker state.
   DatastoreSpillStats SpillStats() const;
 
@@ -219,19 +217,18 @@ class Datastore {
       CYR_REQUIRES(put_mu_);
 
   DatasetCatalog* catalog_;  // not owned, may be null
-  // The spill tiers are declared before the stores so they outlive them on
-  // both ends: GraphStore holds a raw pointer into dataset_spill_ and
-  // ResultCache one into cache_spill_.
+  // The spill tiers are declared before the stores so they outlive them:
+  // GraphStore holds a raw pointer into dataset_spill_.
   std::unique_ptr<SpillTier> dataset_spill_;  ///< null without a spill_dir
   std::unique_ptr<SpillTier> result_spill_;   ///< null without a spill_dir
-  std::unique_ptr<SpillTier> cache_spill_;    ///< null without a spill_dir
   GraphStore graphs_;
   ResultStore results_;
   LogStore logs_;
   ResultCache result_cache_;
-  /// Orders result-write + log-erase pairs. Outermost of the store locks:
-  /// DemoteEvictedResultsLocked reaches the result spill tier (and its
-  /// logging) while holding it.
+  /// Orders result-write + log-erase pairs, and closes a result's
+  /// memory-to-disk demotion to readers. Outermost of the store locks:
+  /// DemoteEvictedResultsLocked and GetResult reach the result spill tier
+  /// (and its logging) while holding it.
   mutable Mutex put_mu_{lock_rank::kDatastorePutMu, "Datastore::put_mu_"};
 };
 

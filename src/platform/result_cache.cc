@@ -2,47 +2,19 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "common/mutex.h"
-#include "platform/result_io.h"
 
 namespace cyclerank {
 
 std::optional<TaskResult> ResultCache::Get(const std::string& key) {
   MutexLock lock(mu_);
   TaskResult* result = lru_.Touch(key);
-  if (result != nullptr) {
-    ++stats_.hits;
-    return *result;
+  if (result == nullptr) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-  if (spill_ != nullptr) {
-    // The disk tier may hold a demoted copy. The tier's key filter makes
-    // the common cold miss (never cached) a lock-free negative — this
-    // call does no filesystem work then.
-    Result<SpillTier::Loaded> loaded = spill_->Get(key);
-    if (loaded.ok()) {
-      Result<TaskResult> decoded = DeserializeTaskResult(loaded->payload);
-      if (decoded.ok()) {
-        // Re-admit to memory (the disk copy stays: fingerprints are
-        // content-addressed, so it can never be stale, and keeping it
-        // lets the next eviction skip re-serialization).
-        const size_t bytes = EstimateBytes(key, *decoded);
-        if (bytes <= max_bytes_) {
-          lru_.Insert(key, *decoded, bytes);
-          EvictLocked();
-        }
-        ++stats_.hits;
-        ++stats_.disk_reloads;
-        return std::move(decoded).value();
-      }
-      CYCLERANK_LOG(kWarning)
-          << "result cache: dropping undecodable spill of '" << key
-          << "': " << decoded.status().ToString();
-      spill_->Erase(key);
-    }
-  }
-  ++stats_.misses;
-  return std::nullopt;
+  ++stats_.hits;
+  return *result;
 }
 
 void ResultCache::Put(const std::string& key, TaskResult result) {
@@ -55,50 +27,16 @@ void ResultCache::Put(const std::string& key, TaskResult result) {
   lru_.Erase(key);  // overwrite-on-duplicate policy
   lru_.Insert(key, std::move(result), bytes);
   ++stats_.insertions;
-  EvictLocked();
-}
-
-void ResultCache::EvictLocked() {
-  while (lru_.OverBudget()) {
-    std::optional<ByteBudgetedLru<TaskResult>::Entry> victim =
-        lru_.PopLeastRecent();
-    if (!victim.has_value()) break;
+  while (lru_.OverBudget() && lru_.PopLeastRecent().has_value()) {
     ++stats_.evictions;
-    if (spill_ == nullptr) continue;
-    // Demote instead of destroy. A copy already on disk (this entry was
-    // reloaded from there) is bit-identical — same fingerprint, same
-    // deterministic result — so the Put can be skipped outright.
-    if (spill_->Contains(victim->key)) {
-      ++stats_.disk_spills;
-      continue;
-    }
-    const Status spilled = spill_->Put(
-        victim->key, MakeResultSpillPayload(std::move(victim->value)));
-    if (spilled.ok()) {
-      ++stats_.disk_spills;
-    } else {
-      CYCLERANK_LOG(kWarning)
-          << "result cache: could not spill evicted entry '" << victim->key
-          << "': " << spilled.ToString() << "; dropping it instead";
-    }
   }
 }
 
 size_t ResultCache::ErasePrefix(const std::string& prefix) {
   MutexLock lock(mu_);
-  size_t erased = lru_.ErasePrefix(prefix).size();
-  if (spill_ != nullptr) {
-    // The disk tier holds demoted results keyed by the same fingerprints;
-    // a re-bound dataset name invalidates them just as hard.
-    erased += spill_->ErasePrefix(prefix);
-  }
+  const size_t erased = lru_.ErasePrefix(prefix).size();
   stats_.invalidations += erased;
   return erased;
-}
-
-void ResultCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.Clear();
 }
 
 ResultCacheStats ResultCache::stats() const {

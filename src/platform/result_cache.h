@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "platform/byte_lru.h"
-#include "platform/spill_tier.h"
 #include "platform/task.h"
 
 namespace cyclerank {
@@ -23,8 +22,6 @@ struct ResultCacheStats {
   uint64_t evictions = 0;   ///< entries dropped to respect the byte budget
   uint64_t rejected = 0;    ///< entries larger than the entire budget
   uint64_t invalidations = 0;  ///< entries dropped by `ErasePrefix`
-  uint64_t disk_spills = 0;    ///< evictions demoted to the disk tier
-  uint64_t disk_reloads = 0;   ///< `Get` hits served by reloading from disk
   size_t entries = 0;       ///< current entry count
   size_t bytes = 0;         ///< current estimated footprint
 };
@@ -38,15 +35,11 @@ struct ResultCacheStats {
 /// IS the ranking a fresh run would produce. Only successful results belong
 /// here; failures are cheap to re-derive and may be transient.
 ///
-/// With a `SpillTier` attached (PR 6), eviction *demotes* entries to disk
-/// instead of destroying them, and a later fingerprint hit transparently
-/// reloads (and re-admits) the entry — the cache's effective capacity
-/// becomes memory + disk. Fingerprints are content-addressed (dataset
-/// binding generation + algorithm + params), so a disk copy can never go
-/// stale while its key matches; `ErasePrefix` invalidates both tiers when
-/// a dataset name is re-bound. Single-flight semantics are preserved: the
-/// scheduler consults `Get` before admitting a task, and a disk reload is
-/// indistinguishable from a memory hit to it.
+/// Memory only: an evicted entry is destroyed, not demoted to disk. Every
+/// cached ranking is also stored under its task id in the `ResultStore`
+/// (whose retention spills to disk), and a miss re-runs a deterministic
+/// kernel bit-identically, so a disk copy here would only duplicate bytes.
+/// `ErasePrefix` drops a dataset's entries when its name is re-bound.
 ///
 /// The footprint of an entry is estimated with `EstimateBytes` (dominated by
 /// the ranking payload). Inserting past the budget evicts least-recently-used
@@ -59,33 +52,24 @@ class ResultCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64u << 20;  // 64 MiB
 
-  /// `spill` may be null (no disk tier — the historical behavior) and must
-  /// outlive the cache.
-  explicit ResultCache(size_t max_bytes = kDefaultMaxBytes,
-                       SpillTier* spill = nullptr)
-      : max_bytes_(max_bytes), spill_(spill), lru_(max_bytes) {}
+  explicit ResultCache(size_t max_bytes = kDefaultMaxBytes)
+      : max_bytes_(max_bytes), lru_(max_bytes) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached result for `key` (bumped to most-recently-used), or
-  /// nullopt on a miss. A result demoted to the disk tier is transparently
-  /// reloaded and re-admitted to memory.
+  /// nullopt on a miss.
   std::optional<TaskResult> Get(const std::string& key) CYR_EXCLUDES(mu_);
 
   /// Stores `result` under `key`, overwriting any previous entry and
-  /// evicting LRU entries until the budget holds (evictees demote to the
-  /// disk tier when one is attached).
+  /// evicting LRU entries until the budget holds.
   void Put(const std::string& key, TaskResult result) CYR_EXCLUDES(mu_);
 
-  /// Drops every entry whose key starts with `prefix` — from memory and
-  /// from the disk tier; returns how many (an entry resident in both tiers
-  /// counts once per tier). Used to invalidate a dataset's cached results
-  /// when its name is re-bound to new content (`DatasetFingerprintPrefix`).
+  /// Drops every entry whose key starts with `prefix`; returns how many.
+  /// Used to invalidate a dataset's cached results when its name is
+  /// re-bound to new content (`DatasetFingerprintPrefix`).
   size_t ErasePrefix(const std::string& prefix) CYR_EXCLUDES(mu_);
-
-  /// Drops every in-memory entry (counters and the disk tier are kept).
-  void Clear() CYR_EXCLUDES(mu_);
 
   ResultCacheStats stats() const CYR_EXCLUDES(mu_);
   size_t max_bytes() const { return max_bytes_; }
@@ -95,14 +79,8 @@ class ResultCache {
   static size_t EstimateBytes(const std::string& key, const TaskResult& result);
 
  private:
-  /// Evicts LRU entries until the budget holds, demoting each victim to
-  /// the disk tier when one is attached; requires `mu_`.
-  void EvictLocked() CYR_REQUIRES(mu_);
-
   const size_t max_bytes_;
-  SpillTier* const spill_;  ///< not owned, may be null
-  /// Nests inside the scheduler's mutex and outside the spill tier's
-  /// locks (EvictLocked demotes victims to `spill_` under it).
+  /// Nests inside the scheduler's mutex; calls nothing that locks.
   mutable Mutex mu_{lock_rank::kResultCacheMu, "ResultCache::mu_"};
   /// List + index + byte accounting.
   ByteBudgetedLru<TaskResult> lru_ CYR_GUARDED_BY(mu_);

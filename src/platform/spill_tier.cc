@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -44,8 +43,6 @@ constexpr std::string_view kSpillMagicV2 = "CYSP2\n";
 constexpr size_t kMagicBytes = 6;
 constexpr size_t kFixedHeaderBytes = kMagicBytes + 8 + 8;  // magic+meta+sum
 
-constexpr std::string_view kManifestName = "manifest";
-constexpr std::string_view kManifestMagic = "cyclerank-spill-manifest v1";
 constexpr std::string_view kSpillSuffix = ".spill";
 
 /// Per-entry overhead charged to the write-behind buffer on top of the
@@ -257,7 +254,7 @@ void SpillTier::RecoverLocked() {
       if (filename.size() < kSpillSuffix.size() ||
           filename.compare(filename.size() - kSpillSuffix.size(),
                            kSpillSuffix.size(), kSpillSuffix) != 0) {
-        continue;  // the manifest, temp files, strangers
+        continue;  // temp files, strangers
       }
       const std::string path = dir_ + "/" + filename;
       std::string why;
@@ -281,36 +278,15 @@ void SpillTier::RecoverLocked() {
       valid.emplace(filename, std::move(*header));
     }
   }
-  // Pass 2: recency order — manifest-listed files first (hottest first),
-  // unlisted stragglers appended coldest, sorted by name for determinism.
-  std::vector<std::string> ordered;
-  std::set<std::string> listed;
-  bool manifest_ok = false;
-  Result<std::string> manifest =
-      env_->ReadFile(dir_ + "/" + std::string(kManifestName));
-  if (manifest.ok()) {
-    std::istringstream in(*manifest);
-    std::string line;
-    if (std::getline(in, line) && line == kManifestMagic) {
-      manifest_ok = true;
-      while (std::getline(in, line)) {
-        if (!line.empty() && valid.count(line) != 0 &&
-            listed.insert(line).second) {
-          ordered.push_back(line);
-        }
-      }
-    }
-  }
-  for (const auto& [filename, info] : valid) {
-    if (listed.count(filename) == 0) ordered.push_back(filename);
-  }
-  // Insert coldest-first so the front of the LRU ends up hottest.
-  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
-    const SpillFileHeader& info = valid.at(*it);
+  // Pass 2: index in filename order. Recency is not persisted, so the LRU
+  // lists the files by name, the first name most recent. Leftovers of
+  // older versions (a `manifest`, `manifest.tmp`) are never read.
+  for (auto it = valid.rbegin(); it != valid.rend(); ++it) {
+    const SpillFileHeader& info = it->second;
     if (lru_.Contains(info.key)) {
       ++stats_.skipped_corrupt_files;
       CYCLERANK_LOG(kWarning) << "spill tier (" << what_
-                              << "): skipping spill file '" << *it
+                              << "): skipping spill file '" << it->first
                               << "': duplicate key '" << info.key << "'";
       continue;
     }
@@ -328,10 +304,6 @@ void SpillTier::RecoverLocked() {
                          << stats_.skipped_corrupt_files;
   }
   PruneLocked();
-  if (!manifest_ok || stats_.skipped_corrupt_files != 0 ||
-      stats_.prunes != 0) {
-    WriteManifestLocked();
-  }
 }
 
 Status SpillTier::Put(const std::string& key, SpillPayloadPtr payload,
@@ -407,11 +379,6 @@ Status SpillTier::Put(const std::string& key, std::string_view payload,
 }
 
 void SpillTier::FlushWorker() {
-  // Files indexed since the manifest was last written. The manifest is
-  // rewritten when the queue drains or `kManifestBatchFiles` files are
-  // unlisted, not once per file, and `flushing_` stays set until it is, so
-  // Flush() remains a barrier that includes it.
-  size_t unlisted = 0;
   for (;;) {
     std::string key;
     SpillPayloadPtr payload;
@@ -419,42 +386,28 @@ void SpillTier::FlushWorker() {
     uint64_t seq = 0;
     {
       MutexLock lock(buffer_mu_);
-      if (unlisted == 0 || !flush_queue_.empty()) {
-        work_cv_.Wait(buffer_mu_, [&]() CYR_REQUIRES(buffer_mu_) {
-          return stop_ || (!flush_queue_.empty() && !flush_paused_);
-        });
-        if (flush_queue_.empty()) {
-          if (stop_) return;  // drained — every accepted write is on disk
-          continue;
-        }
-        key = std::move(flush_queue_.front());
-        flush_queue_.pop_front();
-        auto it = pending_.find(key);
-        if (it == pending_.end() || !it->second.queued) {
-          continue;  // erased, or a stale duplicate queue slot
-        }
-        it->second.queued = false;
-        payload = it->second.payload;
-        meta = it->second.meta;
-        seq = it->second.seq;
-        flushing_ = true;
+      work_cv_.Wait(buffer_mu_, [&]() CYR_REQUIRES(buffer_mu_) {
+        return stop_ || (!flush_queue_.empty() && !flush_paused_);
+      });
+      if (flush_queue_.empty()) {
+        if (stop_) return;  // drained — every accepted write is on disk
+        continue;
       }
+      key = std::move(flush_queue_.front());
+      flush_queue_.pop_front();
+      auto it = pending_.find(key);
+      if (it == pending_.end() || !it->second.queued) {
+        continue;  // erased, or a stale duplicate queue slot
+      }
+      it->second.queued = false;
+      payload = it->second.payload;
+      meta = it->second.meta;
+      seq = it->second.seq;
+      flushing_ = true;
     }
     // Serialize + compress + write with no lock held — this is the whole
     // point of the write-behind tier.
-    if (payload != nullptr && FlushOne(key, payload, meta, seq)) ++unlisted;
-    if (unlisted != 0) {
-      bool drained = false;
-      {
-        MutexLock lock(buffer_mu_);
-        drained = flush_queue_.empty();
-      }
-      // More of the batch to come, and a crash would lose little recency.
-      if (!drained && unlisted < kManifestBatchFiles) continue;
-      MutexLock disk_lock(mu_);
-      WriteManifestLocked();
-      unlisted = 0;
-    }
+    FlushOne(key, payload, meta, seq);
     {
       MutexLock lock(buffer_mu_);
       flushing_ = false;
@@ -463,7 +416,7 @@ void SpillTier::FlushWorker() {
   }
 }
 
-bool SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
+void SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
                          uint64_t meta, uint64_t seq) {
   const std::string raw = payload->Serialize();
   const std::string file = EncodeSpillFile(key, raw, meta);
@@ -477,10 +430,9 @@ bool SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
       if (UnindexLocked(key).has_value()) RemoveFileLocked(key);
       pruned_.Mark(key);
       pruned_.Bound(kMaxPrunedMarkers);
-      WriteManifestLocked();
     }
     DropPending(key, seq);
-    return false;
+    return;
   }
   const Status written = WriteSpillFile(key, file);
   if (!written.ok()) {
@@ -502,29 +454,15 @@ bool SpillTier::FlushOne(const std::string& key, const SpillPayloadPtr& payload,
       last_flush_error_ = written;
     }
     DropPending(key, seq);
-    return false;
+    return;
   }
-  return FinishPending(key, seq, Info{meta, raw.size()}, file.size());
+  FinishPending(key, seq, Info{meta, raw.size()}, file.size());
 }
 
-bool SpillTier::FinishPending(const std::string& key, uint64_t seq,
+void SpillTier::FinishPending(const std::string& key, uint64_t seq,
                               Info info, size_t file_bytes) {
   MutexLock lock(buffer_mu_);
   auto it = pending_.find(key);
-  if (it != pending_.end() && it->second.seq == seq) {
-    // Index the flushed file *before* dropping the buffer entry, so a
-    // concurrent Get always finds the key in at least one of the two —
-    // the never-invisible guarantee.
-    {
-      MutexLock disk_lock(mu_);
-      IndexLocked(key, info, file_bytes);
-    }
-    pending_bytes_ -= it->second.approx_bytes;
-    pending_.erase(it);
-    lock.Unlock();
-    drained_cv_.NotifyAll();
-    return true;
-  }
   if (it == pending_.end()) {
     // Erased while the flush was in flight: the rename above resurrected
     // a file the caller asked to drop. It was never indexed (only this
@@ -533,11 +471,22 @@ bool SpillTier::FinishPending(const std::string& key, uint64_t seq,
     lock.Unlock();
     MutexLock disk_lock(mu_);
     if (!lru_.Contains(key)) RemoveFileLocked(key);
-    return false;
+    return;
   }
   // Superseded while in flight: the newer seq holds a queue slot and its
   // flush will overwrite the file we just wrote. Leave everything alone.
-  return false;
+  if (it->second.seq != seq) return;
+  // Index the flushed file *before* dropping the buffer entry, so a
+  // concurrent Get always finds the key in at least one of the two — the
+  // never-invisible guarantee.
+  {
+    MutexLock disk_lock(mu_);
+    IndexLocked(key, info, file_bytes);
+  }
+  pending_bytes_ -= it->second.approx_bytes;
+  pending_.erase(it);
+  lock.Unlock();
+  drained_cv_.NotifyAll();
 }
 
 void SpillTier::DropPending(const std::string& key, uint64_t seq) {
@@ -654,10 +603,7 @@ bool SpillTier::BreakerRejects() {
 
 void SpillTier::IndexLocked(const std::string& key, Info info,
                             size_t file_bytes) {
-  if (std::optional<ByteBudgetedLru<Info>::Entry> old = UnindexLocked(key);
-      old.has_value()) {
-    // Overwrite: the rename already replaced the file on disk.
-  }
+  UnindexLocked(key);  // an overwrite: the rename already replaced the file
   pruned_.Revive(key);
   lru_.Insert(key, info, file_bytes);
   raw_bytes_ += info.raw_bytes;
@@ -736,7 +682,6 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
     UnindexLocked(key);
     RemoveFileLocked(key);
     ++stats_.skipped_corrupt_files;
-    WriteManifestLocked();
     return Status::IOError("spill tier (" + what_ + "): spill file for '" +
                            key + "' is corrupt (" + why + ")");
   };
@@ -763,9 +708,6 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
     return corrupt("payload checksum mismatch");
   }
   ++stats_.reloads;
-  // Recency moved but the manifest is only rewritten on Put/Erase/prune:
-  // a read-heavy workload must not pay a manifest write per reload, and
-  // losing recency on crash only costs pruning accuracy, never data.
   return loaded;
 }
 
@@ -810,37 +752,7 @@ void SpillTier::Erase(const std::string& key) {
   }
   MutexLock lock(mu_);
   pruned_.Revive(key);
-  if (!UnindexLocked(key).has_value()) return;
-  RemoveFileLocked(key);
-  WriteManifestLocked();
-}
-
-size_t SpillTier::ErasePrefix(const std::string& prefix) {
-  std::set<std::string> erased;
-  {
-    MutexLock lock(buffer_mu_);
-    for (auto it = pending_.lower_bound(prefix);
-         it != pending_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;) {
-      erased.insert(it->first);
-      pending_bytes_ -= it->second.approx_bytes;
-      it = pending_.erase(it);
-    }
-    if (!erased.empty()) {
-      drained_cv_.NotifyAll();
-      flushed_cv_.NotifyAll();
-    }
-  }
-  MutexLock lock(mu_);
-  std::vector<ByteBudgetedLru<Info>::Entry> disk = lru_.ErasePrefix(prefix);
-  for (const ByteBudgetedLru<Info>::Entry& entry : disk) {
-    raw_bytes_ -= entry.value.raw_bytes;
-    pruned_.Revive(entry.key);
-    RemoveFileLocked(entry.key);
-    erased.insert(entry.key);
-  }
-  if (!disk.empty()) WriteManifestLocked();
-  return erased.size();
+  if (UnindexLocked(key).has_value()) RemoveFileLocked(key);
 }
 
 Status SpillTier::Flush() {
@@ -928,37 +840,6 @@ void SpillTier::PruneLocked() {
     ++stats_.prunes;
   }
   pruned_.Bound(kMaxPrunedMarkers);
-}
-
-void SpillTier::WriteManifestLocked() {
-  if (!enabled_) return;
-  // Single attempt, no breaker: the manifest is recoverable metadata (it
-  // only seeds recency on the next recovery), so a failed write costs
-  // pruning accuracy after a crash, never data.
-  const std::string manifest_path = dir_ + "/" + std::string(kManifestName);
-  const std::string tmp_path = dir_ + "/manifest.tmp";
-  std::string out(kManifestMagic);
-  out += '\n';
-  // Hottest first — the recovery scan replays this order into the LRU.
-  for (const std::string& key : lru_.KeysByRecency()) {
-    out += SpillFileName(key);
-    out += '\n';
-  }
-  const Status written = env_->WriteFile(tmp_path, out);
-  if (!written.ok()) {
-    CYCLERANK_LOG(kWarning) << "spill tier (" << what_
-                            << "): cannot write manifest in '" << dir_
-                            << "': " << written.message();
-    (void)env_->Remove(tmp_path);
-    return;
-  }
-  const Status renamed = env_->Rename(tmp_path, manifest_path);
-  if (!renamed.ok()) {
-    CYCLERANK_LOG(kWarning) << "spill tier (" << what_
-                            << "): cannot rename manifest into place: "
-                            << renamed.message();
-    (void)env_->Remove(tmp_path);
-  }
 }
 
 void SpillTier::RemoveFileLocked(const std::string& key) {

@@ -155,21 +155,22 @@ SpillPayloadPtr MakeBytesSpillPayload(std::string bytes);
 ///
 /// One tier manages one directory of self-describing files (magic +
 /// version + metadata word + payload checksum + the original key + the
-/// payload), plus a `manifest` recording recency order. Construction runs a
-/// recovery scan: the manifest seeds the LRU order, unlisted valid files
-/// are appended coldest-last, and corrupt or truncated files are skipped
+/// payload) and nothing else: a flushed entry costs one tmp write and one
+/// rename. Construction runs a recovery scan that indexes every valid
+/// `*.spill` file in filename order; corrupt or truncated files are skipped
 /// with a logged warning — a half-written file from a crash can never take
-/// recovery down. The tier is itself byte-budgeted (`max_bytes`, 0 =
-/// unbounded, accounted in on-disk file bytes): past the budget the
-/// least-recently-used entries are pruned, and their keys then answer
-/// `WasPruned` so the owning store can tell "expired (pruned from disk)"
-/// apart from "never stored".
+/// recovery down. Recency lives only in memory: after a restart the LRU
+/// lists entries by filename (the first name most recent), which costs
+/// pruning accuracy, never data. The tier is itself byte-budgeted
+/// (`max_bytes`, 0 = unbounded, accounted in on-disk file bytes): past the
+/// budget the least-recently-used entries are pruned, and their keys then
+/// answer `WasPruned` so the owning store can tell "expired (pruned from
+/// disk)" apart from "never stored".
 ///
 /// The payload is opaque bytes — `GraphStore` spills `Graph::Serialize`
-/// output, the `Datastore` facade and the `ResultCache` spill
-/// `SerializeTaskResult` output. The `meta` word rides along uninterpreted
-/// (the graph tier stores the binding generation in it, so revived
-/// datasets keep their fingerprint).
+/// output, the `Datastore` facade spills `SerializeTaskResult` output. The
+/// `meta` word rides along uninterpreted (the graph tier stores the binding
+/// generation in it, so revived datasets keep their fingerprint).
 ///
 /// Thread-safe. Two locks: `buffer_mu_` guards the write-behind buffer,
 /// `mu_` guards the disk index; the fixed acquisition order is
@@ -247,24 +248,13 @@ class SpillTier {
   /// re-binding a dataset name), not evicting it under pressure.
   void Erase(const std::string& key) CYR_EXCLUDES(buffer_mu_, mu_);
 
-  /// The flush thread rewrites the manifest when its queue drains, or after
-  /// this many files flushed since the last rewrite while the queue stays
-  /// busy: a crash mid-burst then leaves at most this many files unlisted
-  /// (recovered, but as the coldest entries).
-  static constexpr size_t kManifestBatchFiles = 16;
-
-  /// Drops every live entry (buffered or on disk) whose key starts with
-  /// `prefix`; returns how many. Used by the `ResultCache` to invalidate a
-  /// re-bound dataset's spilled results alongside its in-memory ones.
-  size_t ErasePrefix(const std::string& prefix)
-      CYR_EXCLUDES(buffer_mu_, mu_);
-
   /// Blocks until every buffered write has reached disk or been dropped
-  /// and the flush thread is idle (manifest rewrite included, so no `Env`
-  /// call of the tier is still in flight) — the barrier for tests,
-  /// shutdown, and anything that needs durability now. Returns OK when everything drained to disk; otherwise an error
-  /// naming how many payloads were lost since the last `Flush()` report
-  /// (each loss is also marked pruned and counted in `flush_failures`).
+  /// and the flush thread is idle (so no `Env` call of the tier is still
+  /// in flight) — the barrier for tests, shutdown, and anything that needs
+  /// durability now. Returns OK when everything drained to disk; otherwise
+  /// an error naming how many payloads were lost since the last `Flush()`
+  /// report (each loss is also marked pruned and counted in
+  /// `flush_failures`).
   /// Must not be called while flushing is paused.
   Status Flush() CYR_EXCLUDES(buffer_mu_, mu_);
 
@@ -301,7 +291,7 @@ class SpillTier {
     bool queued = false;  ///< present in flush_queue_
   };
 
-  /// Scans `dir_` for spill files, seeds the LRU from the manifest, and
+  /// Scans `dir_` for spill files, indexes them in filename order, and
   /// prunes past the budget; requires `mu_`.
   void RecoverLocked() CYR_REQUIRES(mu_);
 
@@ -310,15 +300,14 @@ class SpillTier {
   void FlushWorker() CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Flushes one buffered write (off both locks for the expensive parts).
-  /// True when it indexed a new file, which leaves the manifest stale.
-  bool FlushOne(const std::string& key, const SpillPayloadPtr& payload,
+  void FlushOne(const std::string& key, const SpillPayloadPtr& payload,
                 uint64_t meta, uint64_t seq) CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Completes a successful flush: indexes the renamed file, then removes
   /// the buffer entry if its seq still matches (erased → the file is
   /// removed again; superseded → the newer flush owns the file), waking
-  /// backpressure and Flush waiters. True when it indexed the file.
-  bool FinishPending(const std::string& key, uint64_t seq, Info info,
+  /// backpressure waiters.
+  void FinishPending(const std::string& key, uint64_t seq, Info info,
                      size_t file_bytes) CYR_EXCLUDES(buffer_mu_, mu_);
 
   /// Removes `key` from the buffer if its seq still matches, without
@@ -364,10 +353,6 @@ class SpillTier {
   /// `mu_`.
   void PruneLocked() CYR_REQUIRES(mu_);
 
-  /// Rewrites the manifest (recency order, hottest first) atomically via a
-  /// temp file + rename; requires `mu_`.
-  void WriteManifestLocked() CYR_REQUIRES(mu_);
-
   /// Deletes `key`'s file from disk (best-effort); requires `mu_`.
   void RemoveFileLocked(const std::string& key) CYR_REQUIRES(mu_);
 
@@ -401,8 +386,8 @@ class SpillTier {
   uint64_t backpressure_waits_ CYR_GUARDED_BY(buffer_mu_) = 0;
   bool flush_paused_ CYR_GUARDED_BY(buffer_mu_) = false;
   /// The flush thread is writing an entry it popped (its file and index
-  /// insert), or has indexed files whose manifest rewrite is still due,
-  /// so `Flush()` must keep waiting.
+  /// insert, or the removal of a file erased mid-flush), so `Flush()` must
+  /// keep waiting.
   bool flushing_ CYR_GUARDED_BY(buffer_mu_) = false;
   bool stop_ CYR_GUARDED_BY(buffer_mu_) = false;
   // Started in the constructor, joined in the destructor; never touched

@@ -402,40 +402,5 @@ TEST(DatastoreSpillTest, CorruptSpillFileDegradesToExpiredNotACrash) {
   EXPECT_FALSE(store.GetDataset("a").ok());
 }
 
-TEST(DatastoreSpillTest, CacheEvictionDemotesToDiskAndRebindDropsBothTiers) {
-  PlatformOptions options = SpillOptions(FreshSpillDir("ds_cache_spill"));
-  // Keys shaped like real fingerprints so the PutDataset re-binding path
-  // (ErasePrefix over the dataset prefix) matches them.
-  const std::string key_a = DatasetFingerprintPrefix("d") + "fp-a";
-  const std::string key_b = DatasetFingerprintPrefix("d") + "fp-b";
-  const size_t one = ResultCache::EstimateBytes(key_a, RichResultFor("r"));
-  options.result_cache_bytes = one + one / 2;  // room for exactly one entry
-  Datastore store(nullptr, options);
-  ResultCache& cache = store.result_cache();
-
-  cache.Put(key_a, RichResultFor("cached-a"));
-  cache.Put(key_b, RichResultFor("cached-b"));  // demotes key_a to disk
-  store.Flush();
-  EXPECT_EQ(store.cache_spill()->stats().spills, 1u);
-  // The evicted fingerprint is still a cache *hit* — transparently reloaded
-  // from the disk tier instead of forcing a kernel re-run — and
-  // bit-identical to what was cached.
-  const auto reloaded = cache.Get(key_a);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(SerializeTaskResult(*reloaded),
-            SerializeTaskResult(RichResultFor("cached-a")));
-  EXPECT_EQ(cache.stats().disk_reloads, 1u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-
-  // Re-binding the dataset name must invalidate its fingerprints in *both*
-  // tiers — a disk copy serving rankings of the old graph would be a
-  // correctness bug, not a cache miss.
-  ASSERT_TRUE(store.PutDataset("d", ChainGraph(10)).ok());
-  EXPECT_FALSE(cache.Get(key_a).has_value());
-  EXPECT_FALSE(cache.Get(key_b).has_value());
-  EXPECT_FALSE(store.cache_spill()->Contains(key_a));
-  EXPECT_FALSE(store.cache_spill()->Contains(key_b));
-}
-
 }  // namespace
 }  // namespace cyclerank

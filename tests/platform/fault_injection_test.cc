@@ -52,8 +52,7 @@ TEST(FaultInjectionTest, TransientWriteFaultIsRetriedInvisibly) {
   SpillTier tier(FreshSpillDir("fi_transient_write"),
                  FaultyTierOptions(&env, /*retry_limit=*/3), "dataset");
   // The first data-file write fails once with EIO; the retry must absorb
-  // it without the caller ever noticing. (".spill" scopes the fault to
-  // data files — the manifest is best-effort and unscheduled here.)
+  // it without the caller ever noticing.
   env.AddFault({Kind::kTransient, EnvOp::kWrite, ".spill", 1});
 
   ASSERT_TRUE(PutAndFlush(tier, "k", "payload-bytes", 7).ok());
@@ -260,7 +259,7 @@ TEST(FaultInjectionTest, EnospcMidRunRestartRecoversSurvivors) {
 TEST(FaultInjectionTest, CrashAtEveryOperationRecoversCleanly) {
   // Sweep the crash point across every Env call of a fixed Put sequence:
   // wherever the "power cut" lands — mid tmp write (torn file), at the
-  // rename, in the manifest, even inside the constructor's recovery scan
+  // rename, even inside the constructor's recovery scan
   // — the restart must come up, serve every acknowledged Put
   // bit-identically, and answer a clean miss for the rest.
   bool swept_past_the_end = false;
@@ -316,22 +315,6 @@ TEST(FaultInjectionTest, TornTmpWriteNeverBecomesVisible) {
   EXPECT_EQ(revived.stats().recovered_files, 0u);
   EXPECT_EQ(revived.stats().skipped_corrupt_files, 0u);
   EXPECT_FALSE(revived.Get("k").ok());
-}
-
-TEST(FaultInjectionTest, TornManifestWriteDoesNotLoseEntries) {
-  const std::string dir = FreshSpillDir("fi_torn_mf");
-  {
-    FaultInjectingEnv env(Env::Default());
-    SpillTier tier(dir, FaultyTierOptions(&env, 0), "dataset");
-    env.AddFault({Kind::kTornWrite, EnvOp::kWrite, "manifest", 1});
-    // The data file lands; only the (best-effort) manifest write tears.
-    ASSERT_TRUE(PutAndFlush(tier, "k", "manifest-independent").ok());
-  }
-  // Recovery treats the manifest as advisory: the unlisted-but-valid file
-  // is appended as a straggler.
-  SpillTier revived(dir, SpillTierOptions{}, "dataset");
-  EXPECT_EQ(revived.stats().recovered_files, 1u);
-  EXPECT_EQ(revived.Get("k")->payload, "manifest-independent");
 }
 
 TEST(FaultInjectionTest, RenameFailureRetriesTheWholeWriteUnit) {

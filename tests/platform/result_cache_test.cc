@@ -4,9 +4,6 @@
 
 #include <string>
 
-#include "platform/spill_tier.h"
-#include "storage_test_util.h"
-
 namespace cyclerank {
 namespace {
 
@@ -84,17 +81,18 @@ TEST(ResultCacheTest, OverwriteReplacesEntryAndBytes) {
   EXPECT_EQ(cache.Get("k")->task_id, "new");
 }
 
-TEST(ResultCacheTest, ClearEmptiesEntriesKeepsCounters) {
+TEST(ResultCacheTest, ErasePrefixDropsOnlyMatchingEntries) {
   ResultCache cache;
-  cache.Put("k", MakeResult("t", 5));
-  ASSERT_TRUE(cache.Get("k").has_value());
-  cache.Clear();
-  EXPECT_FALSE(cache.Get("k").has_value());
+  cache.Put("d1/fp-a", MakeResult("a", 5));
+  cache.Put("d1/fp-b", MakeResult("b", 5));
+  cache.Put("d2/fp", MakeResult("c", 5));
+  EXPECT_EQ(cache.ErasePrefix("d1/"), 2u);
+  EXPECT_FALSE(cache.Get("d1/fp-a").has_value());
+  EXPECT_FALSE(cache.Get("d1/fp-b").has_value());
+  EXPECT_TRUE(cache.Get("d2/fp").has_value());
   const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.hits, 1u);  // counters survive Clear
-  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.invalidations, 2u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(ResultCacheTest, GetReturnsACopy) {
@@ -103,81 +101,6 @@ TEST(ResultCacheTest, GetReturnsACopy) {
   auto first = cache.Get("k");
   first->ranking.clear();  // mutating the copy must not corrupt the cache
   EXPECT_EQ(cache.Get("k")->ranking.size(), 3u);
-}
-
-// ---- PR 6: disk tier behind the cache --------------------------------------
-
-TEST(ResultCacheSpillTest, EvictedEntryDemotesToDiskAndReloads) {
-  SpillTier spill(FreshSpillDir("cache_demote"), SpillTierOptions{},
-                  "cached result");
-  const size_t one = ResultCache::EstimateBytes("a", MakeResult("t", 100));
-  ResultCache cache(2 * one + one / 2, &spill);
-  cache.Put("a", MakeResult("result-a", 100));
-  cache.Put("b", MakeResult("result-b", 100));
-  cache.Put("c", MakeResult("result-c", 100));  // evicts "a" → disk
-  spill.Flush();
-  EXPECT_EQ(cache.stats().disk_spills, 1u);
-  EXPECT_TRUE(spill.Contains("a"));
-  // The next fingerprint hit reloads from disk — a hit, not a kernel re-run
-  // — and re-admits to memory (evicting the now-LRU "b" in its place).
-  const auto reloaded = cache.Get("a");
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->task_id, "result-a");
-  EXPECT_EQ(reloaded->ranking.size(), 100u);
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.disk_reloads, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
-}
-
-TEST(ResultCacheSpillTest, ReDemotionSkipsRewriteForContentAddressedKeys) {
-  SpillTier spill(FreshSpillDir("cache_redemote"), SpillTierOptions{},
-                  "cached result");
-  const size_t one = ResultCache::EstimateBytes("a", MakeResult("t", 100));
-  ResultCache cache(one + one / 2, &spill);  // room for exactly one entry
-  cache.Put("a", MakeResult("result-a", 100));
-  cache.Put("b", MakeResult("result-b", 100));  // demotes "a"
-  spill.Flush();
-  const SpillTierStats before = spill.stats();
-  ASSERT_TRUE(cache.Get("a").has_value());  // reload "a", demote "b"
-  ASSERT_TRUE(cache.Get("b").has_value());  // reload "b", demote "a" again
-  spill.Flush();
-  // Fingerprints are content-addressed, so the second demotion of "a" found
-  // its disk copy still valid and skipped the rewrite.
-  EXPECT_EQ(spill.stats().spills, before.spills + 1);  // only "b" was new
-  EXPECT_EQ(cache.stats().disk_spills, 3u);
-}
-
-TEST(ResultCacheSpillTest, ErasePrefixInvalidatesBothTiers) {
-  SpillTier spill(FreshSpillDir("cache_eraseprefix"), SpillTierOptions{},
-                  "cached result");
-  const size_t one = ResultCache::EstimateBytes("a", MakeResult("t", 100));
-  ResultCache cache(one + one / 2, &spill);
-  cache.Put("d1/fp-old", MakeResult("stale", 100));
-  cache.Put("d1/fp-new", MakeResult("fresh", 100));  // demotes fp-old to disk
-  cache.Put("d2/fp", MakeResult("other", 10));
-  spill.Flush();
-  ASSERT_TRUE(spill.Contains("d1/fp-old"));
-  // Re-binding dataset d1 must drop entries for it in *both* tiers, or the
-  // disk tier would revive rankings computed against the old graph.
-  EXPECT_EQ(cache.ErasePrefix("d1/"), 2u);
-  EXPECT_FALSE(cache.Get("d1/fp-old").has_value());
-  EXPECT_FALSE(cache.Get("d1/fp-new").has_value());
-  EXPECT_FALSE(spill.Contains("d1/fp-old"));
-  EXPECT_TRUE(cache.Get("d2/fp").has_value());
-}
-
-TEST(ResultCacheSpillTest, UndecodableSpillDegradesToMissAndIsDropped) {
-  SpillTier spill(FreshSpillDir("cache_corrupt"), SpillTierOptions{},
-                  "cached result");
-  ResultCache cache(ResultCache::kDefaultMaxBytes, &spill);
-  // Plant garbage under a key the cache will look up: the payload passes the
-  // tier's checksum (it was stored as-is) but fails result deserialization.
-  ASSERT_TRUE(spill.Put("k", "not a serialized TaskResult").ok());
-  EXPECT_FALSE(cache.Get("k").has_value());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  // The bad entry is dropped so it cannot fail again on every lookup.
-  EXPECT_FALSE(spill.Contains("k"));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include "platform/spill_tier.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "common/binary_io.h"
 #include "common/env.h"
 #include "common/logging.h"
+#include "platform/datastore.h"
 #include "storage_test_util.h"
 
 namespace cyclerank {
@@ -44,7 +47,7 @@ class LogCapture {
   std::vector<std::string> lines_;
 };
 
-/// The bytes of the only spill file in `dir` (the manifest excluded).
+/// The bytes of the only spill file in `dir`.
 std::string OnlySpillFileBytes(const std::string& dir) {
   std::string bytes;
   int files = 0;
@@ -144,7 +147,17 @@ TEST(SpillTierTest, BudgetPrunesLeastRecentlyUsed) {
   EXPECT_FALSE(tier.WasPruned("b"));
 }
 
-TEST(SpillTierTest, RecoveryRestoresEntriesAndRecencyOrder) {
+/// Every file name in `dir`, sorted.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(SpillTierTest, RecoveryRestoresEntriesInFilenameOrder) {
   const std::string dir = FreshSpillDir("recovery");
   const std::string payload = IncompressibleBytes(50, 3);
   {
@@ -160,16 +173,17 @@ TEST(SpillTierTest, RecoveryRestoresEntriesAndRecencyOrder) {
   EXPECT_EQ(revived.Meta("cold"), 7u);
   EXPECT_EQ(revived.MaxMeta(), 9u);
   EXPECT_EQ(revived.Get("warm").value().payload, payload);
-  // Recency order survived via the manifest: under a budget that holds
-  // only three files, the next Put prunes "cold" first.
+  // Recency is not persisted: a restart lists the files by name, the first
+  // name most recent, whatever order they were spilled or read in. Under a
+  // budget that holds only three files, the next Put prunes "warm".
   SpillTierOptions options;
   options.max_bytes = 3 * (payload.size() + 64);
   SpillTier bounded(dir, options, "dataset");
   ASSERT_TRUE(PutAndFlush(bounded, "new", payload, 10).ok());
   EXPECT_EQ(bounded.stats().prunes, 1u);
-  EXPECT_FALSE(bounded.Contains("cold"));
+  EXPECT_TRUE(bounded.Contains("cold"));
   EXPECT_TRUE(bounded.Contains("hot"));
-  EXPECT_TRUE(bounded.Contains("warm"));
+  EXPECT_FALSE(bounded.Contains("warm"));
 }
 
 TEST(SpillTierTest, TruncatedFileSkippedAtRecoveryWithWarning) {
@@ -210,20 +224,6 @@ TEST(SpillTierTest, BitRotDetectedByChecksumOnGet) {
   // The corrupt entry was dropped, not retried forever.
   EXPECT_FALSE(tier.Contains("k"));
   EXPECT_EQ(tier.Get("k").status().code(), StatusCode::kNotFound);
-}
-
-TEST(SpillTierTest, StragglerFilesWithoutManifestAreRecovered) {
-  const std::string dir = FreshSpillDir("straggler");
-  {
-    SpillTier tier(dir, SpillTierOptions{}, "dataset");
-    ASSERT_TRUE(tier.Put("a", "payload-a", 1).ok());
-    ASSERT_TRUE(tier.Put("b", "payload-b", 2).ok());
-  }
-  fs::remove(fs::path(dir) / "manifest");
-  SpillTier revived(dir, SpillTierOptions{}, "dataset");
-  EXPECT_EQ(revived.stats().recovered_files, 2u);
-  EXPECT_EQ(revived.Get("a").value().payload, "payload-a");
-  EXPECT_EQ(revived.Get("b").value().payload, "payload-b");
 }
 
 TEST(SpillTierTest, DisabledTierDegradesGracefully) {
@@ -305,8 +305,8 @@ TEST(SpillTierWriteBehindTest, DestructionDrainsBufferLosingNothing) {
 }
 
 /// Pauses the flusher, queues `entries` Puts, resumes and flushes; returns
-/// the `Env` calls that took. Each flushed file costs two (tmp write,
-/// rename), and so does each manifest rewrite.
+/// the `Env` calls that took. Each flushed file costs two: its tmp write
+/// and the rename into place.
 uint64_t EnvOpsToFlushABatch(SpillTier& tier, FaultInjectingEnv& env,
                              size_t entries) {
   const uint64_t before = env.stats().ops;
@@ -319,38 +319,24 @@ uint64_t EnvOpsToFlushABatch(SpillTier& tier, FaultInjectingEnv& env,
   return env.stats().ops - before;
 }
 
-TEST(SpillTierWriteBehindTest, ManifestWrittenOncePerDrainedBatch) {
+TEST(SpillTierWriteBehindTest, FlushedEntryCostsOneWriteAndOneRename) {
   FaultInjectingEnv env(Env::Default());
   SpillTierOptions options = WriteBehind(1u << 20);
   options.env = &env;
-  const std::string dir = FreshSpillDir("wb_manifest_batch");
+  const std::string dir = FreshSpillDir("wb_env_ops");
   {
     SpillTier tier(dir, options, "dataset");
-    // 8 files and one manifest rewrite for the whole batch, and Flush() is
-    // a barrier that includes it.
-    EXPECT_EQ(EnvOpsToFlushABatch(tier, env, 8), 8u * 2 + 2);
+    // Flush() is a barrier over every Env call of the batch; no other
+    // file is written besides the entries' own.
+    EXPECT_EQ(EnvOpsToFlushABatch(tier, env, 8), 16u);
+    std::vector<std::string> expected;
+    for (int i = 0; i < 8; ++i) {
+      expected.push_back("k" + std::to_string(i) + ".spill");
+    }
+    EXPECT_EQ(FileNames(dir), expected);
   }
-  // The batch-end manifest lists every entry: recovery finds all 8.
   SpillTier revived(dir, options, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 8u);
-  std::ifstream manifest(dir + "/manifest");
-  std::string line;
-  int listed = -1;  // the first line is the format magic
-  while (std::getline(manifest, line)) ++listed;
-  EXPECT_EQ(listed, 8);
-}
-
-TEST(SpillTierWriteBehindTest, ManifestRewrittenWithinABatchThatStaysBusy) {
-  // The queue holds 2.5 caps' worth of entries when the flusher resumes,
-  // so it stays non-empty until the last one: the manifest is rewritten
-  // after each `kManifestBatchFiles` files, and once more when it drains.
-  FaultInjectingEnv env(Env::Default());
-  SpillTierOptions options = WriteBehind(1u << 20);
-  options.env = &env;
-  SpillTier tier(FreshSpillDir("wb_manifest_cap"), options, "dataset");
-  constexpr size_t kEntries = 2 * SpillTier::kManifestBatchFiles +
-                           SpillTier::kManifestBatchFiles / 2;
-  EXPECT_EQ(EnvOpsToFlushABatch(tier, env, kEntries), kEntries * 2 + 3 * 2);
 }
 
 TEST(SpillTierWriteBehindTest, BackpressureEngagesAtByteBound) {
@@ -409,22 +395,23 @@ TEST(SpillTierWriteBehindTest, EraseWhileBufferedDropsTheEntry) {
   EXPECT_FALSE(tier.WasPruned("gone"));
 }
 
-TEST(SpillTierWriteBehindTest, ErasePrefixDropsBufferedAndDiskEntries) {
-  SpillTier tier(FreshSpillDir("wb_eraseprefix"), WriteBehind(1u << 20),
-                 "dataset");
-  ASSERT_TRUE(tier.Put("p/disk", "on disk").ok());
-  tier.Flush();  // p/disk reaches disk
+TEST(SpillTierWriteBehindTest, EraseDropsBufferedAndDiskEntries) {
+  const std::string dir = FreshSpillDir("wb_erase_both");
+  SpillTier tier(dir, WriteBehind(1u << 20), "dataset");
+  ASSERT_TRUE(PutAndFlush(tier, "p-disk", "on disk").ok());
   tier.SetFlushPausedForTest(true);
-  ASSERT_TRUE(tier.Put("p/buffered", "in buffer").ok());
-  ASSERT_TRUE(tier.Put("q/kept", "stays").ok());
-  EXPECT_EQ(tier.ErasePrefix("p/"), 2u);
-  EXPECT_FALSE(tier.Contains("p/disk"));
-  EXPECT_FALSE(tier.Contains("p/buffered"));
-  EXPECT_TRUE(tier.Contains("q/kept"));
+  ASSERT_TRUE(tier.Put("p-buffered", "in buffer").ok());
+  ASSERT_TRUE(tier.Put("q-kept", "stays").ok());
+  tier.Erase("p-disk");
+  tier.Erase("p-buffered");
+  EXPECT_FALSE(tier.Contains("p-disk"));
+  EXPECT_FALSE(tier.Contains("p-buffered"));
+  EXPECT_TRUE(tier.Contains("q-kept"));
   tier.SetFlushPausedForTest(false);
-  tier.Flush();
-  EXPECT_EQ(tier.Get("p/buffered").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(tier.Get("q/kept").value().payload, "stays");
+  ASSERT_TRUE(tier.Flush().ok());
+  EXPECT_EQ(tier.Get("p-buffered").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(tier.Get("q-kept").value().payload, "stays");
+  EXPECT_EQ(FileNames(dir), (std::vector<std::string>{"q-kept.spill"}));
 }
 
 TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
@@ -569,6 +556,116 @@ TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
   EXPECT_EQ(revived.Meta("new"), 8u);
   EXPECT_EQ(revived.Get("old").value().payload, payload);
   EXPECT_EQ(revived.Get("new").value().payload, payload);
+}
+
+/// Checks that recovering `dir` lists `keys` most recent first, read back
+/// through pruning: for every k, a copy recovered under a budget that fits
+/// exactly the first k files keeps exactly those keys, because recovery
+/// prunes least recent first. The copies leave `dir` itself untouched.
+void ExpectRecoveredRecency(const std::string& dir,
+                            const std::vector<std::string>& keys) {
+  size_t budget = 0;
+  for (size_t k = 1; k <= keys.size(); ++k) {
+    budget += fs::file_size(fs::path(dir) / (keys[k - 1] + ".spill"));
+    const std::string copy = FreshSpillDir("recency_probe");
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    SpillTierOptions options;
+    options.max_bytes = budget;
+    SpillTier tier(copy, options, "dataset");
+    std::vector<std::string> kept(keys.begin(), keys.begin() + k);
+    std::sort(kept.begin(), kept.end());
+    EXPECT_EQ(tier.Keys(), kept) << dir << ": budget of the first " << k;
+  }
+}
+
+/// Every regular file under `root` with its bytes, keyed by relative path.
+std::map<std::string, std::string> FileContents(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[fs::relative(entry.path(), root).string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
+  // The layout older versions left under a spill_dir: `datasets/` and
+  // `results/` tiers holding CYSP1 and CYSP2 files, each with a `manifest`
+  // (a recency order recovery no longer reads, naming one file that is
+  // gone) and a torn `manifest.tmp`, plus a `cache/` tier that is no
+  // longer opened.
+  const std::string root = FreshSpillDir("older_layout");
+  const auto payload_of = [](const std::string& sub, const std::string& key) {
+    std::string payload;
+    for (int i = 0; i < 300; ++i) payload += sub + "/" + key + ";";
+    return payload;
+  };
+  const std::vector<std::string> keys = {"a1", "b2", "c1", "d2"};
+  for (const std::string sub : {"datasets", "results", "cache"}) {
+    const std::string dir = root + "/" + sub;
+    {
+      SpillTier writer(dir, SpillTierOptions{}, sub);  // CYSP2 files
+      ASSERT_TRUE(PutAndFlush(writer, "b2", payload_of(sub, "b2"), 2).ok());
+      ASSERT_TRUE(PutAndFlush(writer, "d2", payload_of(sub, "d2"), 4).ok());
+    }
+    std::ofstream(fs::path(dir) / "a1.spill", std::ios::binary)
+        << EncodeV1File("a1", payload_of(sub, "a1"), 1);
+    std::ofstream(fs::path(dir) / "c1.spill", std::ios::binary)
+        << EncodeV1File("c1", payload_of(sub, "c1"), 3);
+    const std::string manifest =
+        "cyclerank-spill-manifest v1\nd2.spill\ngone.spill\nc1.spill\n"
+        "a1.spill\nb2.spill\n";
+    std::ofstream(fs::path(dir) / "manifest") << manifest;
+    std::ofstream(fs::path(dir) / "manifest.tmp") << manifest.substr(0, 40);
+  }
+  const std::map<std::string, std::string> leftovers = [&] {
+    std::map<std::string, std::string> files = FileContents(root);
+    for (auto it = files.begin(); it != files.end();) {
+      const bool leftover = it->first.rfind("cache/", 0) == 0 ||
+                            it->first.find("manifest") != std::string::npos;
+      it = leftover ? std::next(it) : files.erase(it);
+    }
+    return files;
+  }();
+  ASSERT_EQ(leftovers.size(), 2u * 2 + 4 + 2);
+
+  for (const std::string sub : {"datasets", "results"}) {
+    SCOPED_TRACE(sub);
+    const std::string dir = root + "/" + sub;
+    // The stale manifest does not order anything: the LRU lists the files
+    // by name, the first name most recent.
+    ExpectRecoveredRecency(dir, keys);
+    {
+      SpillTier tier(dir, SpillTierOptions{}, sub);
+      EXPECT_EQ(tier.stats().recovered_files, 4u);
+      EXPECT_EQ(tier.stats().skipped_corrupt_files, 0u);
+      EXPECT_EQ(tier.MaxMeta(), 4u);
+      // Read coldest first: recency moves in memory only.
+      for (auto key = keys.rbegin(); key != keys.rend(); ++key) {
+        EXPECT_EQ(tier.Get(*key).value().payload, payload_of(sub, *key))
+            << *key;
+      }
+    }
+    // A second recovery of the same directory gives the same order.
+    ExpectRecoveredRecency(dir, keys);
+  }
+  // The datastore opens only the two tiers it still has.
+  {
+    PlatformOptions options;
+    options.spill_dir = root;
+    Datastore store(nullptr, options);
+    EXPECT_EQ(store.SpillStats().datasets.recovered_files, 4u);
+    EXPECT_EQ(store.SpillStats().results.recovered_files, 4u);
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  // Every leftover is still there, byte for byte.
+  const std::map<std::string, std::string> after = FileContents(root);
+  for (const auto& [path, bytes] : leftovers) {
+    ASSERT_EQ(after.count(path), 1u) << path;
+    EXPECT_EQ(after.at(path), bytes) << path;
+  }
 }
 
 TEST(SpillTierFilterTest, ColdMissesShortCircuitWithoutDiskProbes) {

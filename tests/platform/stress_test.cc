@@ -580,7 +580,7 @@ TEST(StressTest, WriteBehindChurnWithBackpressureStaysConsistent) {
   // Hammers the write-behind tier directly with a buffer bound small enough
   // that backpressure engages constantly: writers enqueue (and block),
   // the flusher drains, readers cross buffer and disk, and an eraser
-  // retires whole prefixes mid-flight. Payloads are derived from their key
+  // retires keys mid-flight. Payloads are derived from their key
   // so any tier can be checked for integrity. Run under TSan via
   // tools/verify.sh.
   SpillTierOptions options;
@@ -622,7 +622,9 @@ TEST(StressTest, WriteBehindChurnWithBackpressureStaysConsistent) {
   }
   std::thread eraser([&] {
     for (int i = 0; i < kIters / 2; ++i) {
-      (void)tier.ErasePrefix("w0/k1");  // retires k1, k10..k19 repeatedly
+      // Retires k1 and k10..k19 repeatedly.
+      tier.Erase("w0/k1");
+      tier.Erase("w0/k1" + std::to_string(i % 10));
       std::this_thread::yield();
     }
   });
@@ -642,21 +644,16 @@ TEST(StressTest, WriteBehindChurnWithBackpressureStaysConsistent) {
   EXPECT_GT(tier.stats().backpressure_waits, 0u);
 }
 
-TEST(StressTest, ConcurrentResultCacheSpillChurn) {
-  // The result cache's own disk tier under concurrency: a budget of ~2
-  // entries keeps demotion constant, readers force reload-and-re-admit
-  // cycles (which themselves demote), and an invalidator erases prefixes
-  // across both tiers. Entries are fingerprint-keyed and content-derived,
-  // so a reload served from either tier must match its key exactly.
-  SpillTierOptions options;
-  options.write_behind_bytes = 1u << 20;
-  SpillTier spill(FreshSpillDir("stress_cache_spill"), options,
-                  "cached result");
+TEST(StressTest, ConcurrentResultCacheChurn) {
+  // The result cache under concurrency: a budget of ~2 entries keeps
+  // eviction constant, readers bump recency, and an invalidator erases
+  // prefixes mid-flight. Entries are fingerprint-keyed and
+  // content-derived, so any hit must match its key exactly.
   TaskResult probe;
   probe.task_id = "t0-0";
   probe.ranking.assign(50, {0, 0.0});
   const size_t one = ResultCache::EstimateBytes("d0/fp00", probe);
-  ResultCache cache(2 * one + one / 2, &spill);
+  ResultCache cache(2 * one + one / 2);
 
   constexpr int kThreads = 3;
   constexpr int kIters = 50;
@@ -700,11 +697,11 @@ TEST(StressTest, ConcurrentResultCacheSpillChurn) {
   for (std::thread& thread : writers) thread.join();
   for (std::thread& thread : readers) thread.join();
   invalidator.join();
-  spill.Flush();
 
-  // Whatever survived — in memory or on disk — is intact under its key.
+  // Whatever survived is intact under its key, within the budget.
   const ResultCacheStats stats = cache.stats();
-  EXPECT_GT(stats.disk_spills, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, cache.max_bytes());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kIters; ++i) {
       const auto hit = cache.Get(fingerprint(t, i));
@@ -713,6 +710,65 @@ TEST(StressTest, ConcurrentResultCacheSpillChurn) {
                   "t" + std::to_string(t) + "-" + std::to_string(i));
       }
     }
+  }
+}
+
+TEST(StressTest, ResultBeingDemotedIsNeverReportedExpired) {
+  // Retention of one result with an unbounded result tier: every PutResult
+  // evicts the previous result from memory and demotes it to the tier, and
+  // readers chase the id that is being evicted right now (and the one just
+  // before it). Every id ever stored is in memory or in the tier, so no
+  // read may answer kExpired or kNotFound — in particular not one that
+  // falls between the eviction and the demotion. Run under TSan via
+  // tools/verify.sh.
+  PlatformOptions options;
+  options.max_retained_results = 1;
+  options.spill_dir = FreshSpillDir("stress_result_demotion");
+  Datastore store(nullptr, options);
+  const auto result_for = [](int i) {
+    TaskResult result;
+    result.task_id = "r" + std::to_string(i);
+    result.ranking.assign(8, {static_cast<NodeId>(i), 1.0});
+    return result;
+  };
+
+  constexpr int kResults = 400;
+  std::atomic<int> newest{-1};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kResults; ++i) {
+      store.PutResult(result_for(i));
+      newest.store(i);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int lag = 0; lag < 2; ++lag) {
+    readers.emplace_back([&, lag] {
+      int last_read = -1;
+      while (last_read < kResults - 1) {
+        const int id = newest.load() - lag;
+        if (id < 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        const Result<TaskResult> got =
+            store.GetResult("r" + std::to_string(id));
+        if (!got.ok()) {
+          failures.fetch_add(1);
+          ADD_FAILURE() << "r" << id << ": " << got.status().ToString();
+        } else {
+          EXPECT_EQ(got->ranking.front().node, static_cast<NodeId>(id));
+        }
+        last_read = id + lag;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(store.Flush().ok());
+  for (int i = 0; i < kResults; ++i) {
+    EXPECT_TRUE(store.GetResult("r" + std::to_string(i)).ok()) << i;
   }
 }
 

@@ -17,7 +17,9 @@
 #
 # Environment:
 #   BUILD_DIR     build directory holding the bench binaries (default: build)
-#   BENCH_FILTER  optional --benchmark_filter regex forwarded to every suite
+#   BENCH_FILTER  optional --benchmark_filter regex forwarded to every suite;
+#                 suites it matches nothing in are left out of the merged
+#                 JSON (and named on stderr)
 #   BENCH_MIN_TIME optional --benchmark_min_time seconds
 #                 (default: 0.5, or 0.01 under --smoke)
 #   BENCH_REPS    optional --benchmark_repetitions; > 1 reports only the
@@ -100,10 +102,18 @@ import json, os, subprocess, sys
 out_path, tmp_dir, build_dir, *suites = sys.argv[1:]
 merged = {"suites": {}}
 for suite in suites:
-    with open(f"{tmp_dir}/{suite}.json") as f:
+    path = f"{tmp_dir}/{suite}.json"
+    # A suite in which BENCH_FILTER matches nothing leaves its output empty.
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        print(f"note: {suite}: no benchmark matched BENCH_FILTER; skipped",
+              file=sys.stderr)
+        continue
+    with open(path) as f:
         data = json.load(f)
     merged.setdefault("context", data.get("context", {}))
     merged["suites"][suite] = data.get("benchmarks", [])
+if not merged["suites"]:
+    sys.exit("error: no benchmark in any suite matched BENCH_FILTER")
 cpus = os.cpu_count() or merged.get("context", {}).get("num_cpus", 0)
 merged["host_cpus"] = cpus
 merged["single_core_host"] = cpus <= 1
