@@ -5,22 +5,6 @@
 #include <cstdio>
 
 namespace cyclerank {
-namespace {
-
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-}  // namespace
-
-std::string_view StripAsciiWhitespace(std::string_view s) {
-  size_t b = 0;
-  while (b < s.size() && IsAsciiSpace(s[b])) ++b;
-  size_t e = s.size();
-  while (e > b && IsAsciiSpace(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
 
 std::vector<std::string_view> SplitString(std::string_view s, char sep) {
   std::vector<std::string_view> out;

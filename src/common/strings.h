@@ -13,8 +13,32 @@ namespace cyclerank {
 /// table renderers. All functions are pure and allocation-conscious
 /// (`string_view` in, owning strings out only where required).
 
-/// Removes ASCII whitespace from both ends.
-std::string_view StripAsciiWhitespace(std::string_view s);
+/// True for the six ASCII whitespace characters: space, \t, \n, \r, \f
+/// and \v.
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
+/// Removes ASCII whitespace from both ends. Inline, like `ConsumeLine`:
+/// the text readers call both for every line.
+inline std::string_view StripAsciiWhitespace(std::string_view s) {
+  size_t b = 0;
+  while (b < s.size() && IsAsciiSpace(s[b])) ++b;
+  size_t e = s.size();
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+/// Removes the first line from `*text` and returns it without its '\n'
+/// (the last line need not end in one): `while (!text.empty())` walks the
+/// lines `std::getline` would yield, without copying them.
+inline std::string_view ConsumeLine(std::string_view* text) {
+  const size_t end = text->find('\n');
+  const std::string_view line = text->substr(0, end);
+  text->remove_prefix(end == std::string_view::npos ? text->size() : end + 1);
+  return line;
+}
 
 /// Splits `s` on `sep`, keeping empty fields ("a,,b" → {"a","","b"}).
 std::vector<std::string_view> SplitString(std::string_view s, char sep);

@@ -1,8 +1,61 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace cyclerank {
+namespace {
+
+/// One stable counting-sort pass into a CSR with `n` rows. `for_each(emit)`
+/// calls `emit(row, value)` once per entry, the same way each time it is
+/// called (it runs twice: count, then fill); row `r` lists the values
+/// emitted for `r` in emission order.
+template <typename ForEach>
+void CountingSort(NodeId n, const ForEach& for_each,
+                  std::vector<uint64_t>* offsets, std::vector<NodeId>* values) {
+  offsets->assign(size_t{n} + 1, 0);
+  for_each([&](NodeId row, NodeId) { ++(*offsets)[row + 1]; });
+  std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
+  values->resize(offsets->back());
+  std::vector<uint64_t> cursor(offsets->begin(), offsets->end() - 1);
+  for_each([&](NodeId row, NodeId value) {
+    (*values)[cursor[row]++] = value;
+  });
+}
+
+/// Calls `fn(row, value)` for every entry of a CSR, rows in ascending order.
+template <typename Fn>
+void ForEachEntry(const std::vector<uint64_t>& offsets,
+                  const std::vector<NodeId>& values, const Fn& fn) {
+  for (size_t row = 0; row + 1 < offsets.size(); ++row) {
+    for (uint64_t e = offsets[row]; e < offsets[row + 1]; ++e) {
+      fn(static_cast<NodeId>(row), values[e]);
+    }
+  }
+}
+
+/// Drops the repeats within each sorted row, compacting the CSR in place.
+void DedupSortedRows(std::vector<uint64_t>* offsets,
+                     std::vector<NodeId>* values) {
+  uint64_t kept = 0;
+  uint64_t begin = 0;
+  for (size_t row = 0; row + 1 < offsets->size(); ++row) {
+    const uint64_t end = (*offsets)[row + 1];
+    for (uint64_t e = begin; e < end; ++e) {
+      if (e == begin || (*values)[e] != (*values)[kept - 1]) {
+        (*values)[kept++] = (*values)[e];
+      }
+    }
+    (*offsets)[row + 1] = kept;
+    begin = end;
+  }
+  if (kept != values->size()) {
+    values->resize(kept);
+    values->shrink_to_fit();
+  }
+}
+
+}  // namespace
 
 void GraphBuilder::ReserveNodes(NodeId n) {
   min_nodes_ = std::max(min_nodes_, n);
@@ -36,44 +89,40 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) {
   }
   if (labels_ && labels_->size() > n) n = static_cast<NodeId>(labels_->size());
 
-  std::vector<std::pair<NodeId, NodeId>> edges = std::move(edges_);
-  edges_.clear();
-
-  if (options.drop_self_loops) {
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [](const auto& e) { return e.first == e.second; }),
-                edges.end());
-  }
-  std::sort(edges.begin(), edges.end());
-  if (options.deduplicate) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-
+  // A radix sort of the (source, target) pairs in two stable counting
+  // sorts: on the target first, then on the source, reading the first
+  // result target by target so that every out-row comes out sorted.
   Graph g;
-  g.out_offsets_.assign(n + 1, 0);
-  g.in_offsets_.assign(n + 1, 0);
-  g.out_targets_.resize(edges.size());
-  g.in_sources_.resize(edges.size());
-
-  for (const auto& [u, v] : edges) {
-    ++g.out_offsets_[u + 1];
-    ++g.in_offsets_[v + 1];
+  {
+    std::vector<uint64_t> by_target_offsets;
+    std::vector<NodeId> by_target;
+    CountingSort(
+        n,
+        [&](const auto& emit) {
+          for (const auto& [u, v] : edges_) {
+            if (u != v || !options.drop_self_loops) emit(v, u);
+          }
+        },
+        &by_target_offsets, &by_target);
+    std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
+    CountingSort(
+        n,
+        [&](const auto& emit) {
+          ForEachEntry(by_target_offsets, by_target,
+                       [&](NodeId v, NodeId u) { emit(u, v); });
+        },
+        &g.out_offsets_, &g.out_targets_);
   }
-  for (NodeId i = 0; i < n; ++i) {
-    g.out_offsets_[i + 1] += g.out_offsets_[i];
-    g.in_offsets_[i + 1] += g.in_offsets_[i];
-  }
-  // Edges are sorted by (u, v): the out-CSR fills strictly left to right and
-  // every row ends up sorted. The in-CSR rows also end up sorted because for
-  // a fixed target v the sources arrive in ascending order.
-  std::vector<uint64_t> out_cursor(g.out_offsets_.begin(),
-                                   g.out_offsets_.end() - 1);
-  std::vector<uint64_t> in_cursor(g.in_offsets_.begin(),
-                                  g.in_offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    g.out_targets_[out_cursor[u]++] = v;
-    g.in_sources_[in_cursor[v]++] = u;
-  }
+  if (options.deduplicate) DedupSortedRows(&g.out_offsets_, &g.out_targets_);
+  // The transpose: scanning sources in ascending order fills every in-row
+  // sorted.
+  CountingSort(
+      n,
+      [&](const auto& emit) {
+        ForEachEntry(g.out_offsets_, g.out_targets_,
+                     [&](NodeId u, NodeId v) { emit(v, u); });
+      },
+      &g.in_offsets_, &g.in_sources_);
 
   if (labels_) {
     g.labels_ = std::shared_ptr<const LabelMap>(std::move(labels_));

@@ -43,6 +43,9 @@ class GraphBuilder {
   /// permitted — a Wikipedia snapshot may contain articles with no links).
   void ReserveNodes(NodeId n);
 
+  /// Reserves room for `edges` pending edges (an upper bound is fine).
+  void ReserveEdges(size_t edges) { edges_.reserve(edges); }
+
   /// Appends the edge u→v using numeric ids.
   void AddEdge(NodeId u, NodeId v);
 
@@ -55,10 +58,10 @@ class GraphBuilder {
   /// Number of edges accumulated so far (before dedup / self-loop drops).
   size_t PendingEdges() const { return edges_.size(); }
 
-  /// Finalizes the graph. The builder is left empty and reusable.
-  /// Fails with InvalidArgument when an explicit node reservation is
-  /// exceeded by an edge endpoint in labeled mode mismatch cases; numeric
-  /// ids always widen the node range.
+  /// Finalizes the graph in linear time: two stable counting sorts (on the
+  /// target, then on the source) leave every out-row sorted, repeats are
+  /// dropped row by row, and the in-CSR is the transpose. The builder is
+  /// left empty and reusable.
   Result<Graph> Build(const GraphBuildOptions& options = {});
 
   /// Convenience: `Build` wrapped into a shared pointer.

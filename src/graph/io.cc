@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/env.h"
 #include "common/strings.h"
 #include "graph/io_asd.h"
 #include "graph/io_edgelist.h"
@@ -42,32 +43,28 @@ Result<GraphFormat> GraphFormatFromPath(std::string_view path) {
 }
 
 GraphFormat SniffGraphFormat(std::string_view content) {
+  const auto is_comment_or_blank = [](std::string_view line) {
+    return line.empty() || line[0] == '#' || line[0] == '%';
+  };
   // First non-blank, non-comment line decides.
-  for (std::string_view line : SplitString(content, '\n')) {
-    line = StripAsciiWhitespace(line);
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+  while (!content.empty()) {
+    const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
+    if (is_comment_or_blank(line)) continue;
     if (line[0] == '*') return GraphFormat::kPajek;
     const auto tokens = SplitWhitespace(line);
     if (tokens.size() == 2 && ParseInt64(tokens[0]).ok() &&
         ParseInt64(tokens[1]).ok() &&
         line.find(',') == std::string_view::npos) {
       // Could be ASD ("N M") or a whitespace edgelist. ASD's header promises
-      // exactly M data lines; count them.
-      size_t data_lines = 0;
-      bool first = true;
-      for (std::string_view l2 : SplitString(content, '\n')) {
-        l2 = StripAsciiWhitespace(l2);
-        if (l2.empty() || l2[0] == '#' || l2[0] == '%') continue;
-        if (first) {
-          first = false;
-          continue;
+      // exactly M data lines; count them, stopping once there are more.
+      const int64_t m = *ParseInt64(tokens[1]);
+      int64_t data_lines = 0;
+      while (!content.empty() && data_lines <= m) {
+        if (!is_comment_or_blank(StripAsciiWhitespace(ConsumeLine(&content)))) {
+          ++data_lines;
         }
-        ++data_lines;
       }
-      const auto m = ParseInt64(tokens[1]);
-      if (m.ok() && static_cast<int64_t>(data_lines) == *m) {
-        return GraphFormat::kAsd;
-      }
+      if (data_lines == m) return GraphFormat::kAsd;
     }
     return GraphFormat::kEdgeList;
   }
@@ -76,19 +73,22 @@ GraphFormat SniffGraphFormat(std::string_view content) {
 
 Result<Graph> ReadGraphFromString(std::string_view content, GraphFormat format,
                                   const GraphBuildOptions& build) {
+  if (format == GraphFormat::kEdgeList) {
+    EdgeListReadOptions options;
+    options.build = build;
+    return ReadEdgeList(content, options);
+  }
+  // Pajek, METIS and ASD read streams.
   std::istringstream in{std::string(content)};
   switch (format) {
-    case GraphFormat::kEdgeList: {
-      EdgeListReadOptions options;
-      options.build = build;
-      return ReadEdgeList(in, options);
-    }
     case GraphFormat::kPajek:
       return ReadPajek(in, build);
     case GraphFormat::kAsd:
       return ReadAsd(in, build);
     case GraphFormat::kMetis:
       return ReadMetis(in, build);
+    case GraphFormat::kEdgeList:
+      break;
   }
   return Status::Internal("unreachable graph format");
 }
@@ -106,22 +106,9 @@ Result<Graph> ReadGraphFile(const std::string& path,
 
 Result<Graph> ReadGraphFile(const std::string& path, GraphFormat format,
                             const GraphBuildOptions& build) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  switch (format) {
-    case GraphFormat::kEdgeList: {
-      EdgeListReadOptions options;
-      options.build = build;
-      return ReadEdgeList(in, options);
-    }
-    case GraphFormat::kPajek:
-      return ReadPajek(in, build);
-    case GraphFormat::kAsd:
-      return ReadAsd(in, build);
-    case GraphFormat::kMetis:
-      return ReadMetis(in, build);
-  }
-  return Status::Internal("unreachable graph format");
+  CYCLERANK_ASSIGN_OR_RETURN(std::string content,
+                             Env::Default()->ReadFile(path));
+  return ReadGraphFromString(content, format, build);
 }
 
 Result<std::string> WriteGraphToString(const Graph& g, GraphFormat format) {

@@ -1,22 +1,15 @@
 #include "graph/io_edgelist.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/strings.h"
 
 namespace cyclerank {
 namespace {
-
-bool IsCommentOrBlank(std::string_view line) {
-  line = StripAsciiWhitespace(line);
-  return line.empty() || line[0] == '#' || line[0] == '%';
-}
 
 char DetectDelimiter(std::string_view line) {
   if (line.find(',') != std::string_view::npos) return ',';
@@ -25,143 +18,124 @@ char DetectDelimiter(std::string_view line) {
   return ' ';
 }
 
-// Splits one data line into exactly two endpoint tokens.
-Status SplitPair(std::string_view line, char delimiter, size_t line_no,
-                 std::string_view* src, std::string_view* dst) {
-  std::vector<std::string_view> fields;
+/// Counts the non-empty fields of a data line, keeping the first two in
+/// `*src` and `*dst`. A `' '` delimiter splits on runs of whitespace; any
+/// other splits on that character and strips each field.
+size_t SplitFields(std::string_view line, char delimiter,
+                   std::string_view* src, std::string_view* dst) {
+  size_t count = 0;
+  const auto keep = [&](std::string_view field) {
+    if (field.empty()) return;
+    if (count == 0) *src = field;
+    if (count == 1) *dst = field;
+    ++count;
+  };
+  size_t i = 0;
   if (delimiter == ' ') {
-    fields = SplitWhitespace(line);
-  } else {
-    for (std::string_view f : SplitString(line, delimiter)) {
-      f = StripAsciiWhitespace(f);
-      if (!f.empty()) fields.push_back(f);
+    while (i < line.size()) {
+      while (i < line.size() && IsAsciiSpace(line[i])) ++i;
+      const size_t start = i;
+      while (i < line.size() && !IsAsciiSpace(line[i])) ++i;
+      keep(line.substr(start, i - start));
     }
+    return count;
   }
-  if (fields.size() != 2) {
-    return Status::ParseError("edgelist line " + std::to_string(line_no) +
-                              ": expected 2 fields, got " +
-                              std::to_string(fields.size()));
+  while (true) {
+    const size_t end = line.find(delimiter, i);
+    keep(StripAsciiWhitespace(line.substr(i, end - i)));
+    if (end == std::string_view::npos) return count;
+    i = end + 1;
   }
-  *src = fields[0];
-  *dst = fields[1];
+}
+
+/// Calls `on_edge(src, dst)` for the two fields of every data line, in
+/// file order, until it returns false. Blank lines and lines starting with
+/// `#` or `%` are skipped; any other line must have exactly two fields.
+template <typename OnEdge>
+Status ForEachEdge(std::string_view content, char delimiter,
+                   OnEdge&& on_edge) {
+  size_t line_no = 0;
+  while (!content.empty()) {
+    ++line_no;
+    const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    if (delimiter == '\0') delimiter = DetectDelimiter(line);
+    std::string_view src, dst;
+    const size_t fields = SplitFields(line, delimiter, &src, &dst);
+    if (fields != 2) {
+      return Status::ParseError("edgelist line " + std::to_string(line_no) +
+                                ": expected 2 fields, got " +
+                                std::to_string(fields));
+    }
+    if (!on_edge(src, dst)) break;
+  }
   return Status::OK();
 }
 
-/// Single-pass parser state. Large edgelists are overwhelmingly numeric,
-/// so the reader starts in numeric mode, keeping each edge as one
-/// `int64_t` pair (16 bytes) instead of two heap strings. The first
-/// non-integer token demotes the whole file to labeled mode: the numeric
-/// backlog is replayed as labels (original spellings preserved — the rare
-/// token whose text is not the canonical decimal rendering, e.g. "007",
-/// is kept verbatim on the side) and every later edge streams straight
-/// into the builder.
-class EdgeListParser {
- public:
-  explicit EdgeListParser(bool force_labeled) : numeric_(!force_labeled) {}
-
-  void Accept(std::string_view src, std::string_view dst,
-              GraphBuilder* builder) {
-    if (!numeric_) {
-      builder->AddEdge(src, dst);
-      return;
-    }
-    const Result<int64_t> s = ParseInt64(src);
-    const Result<int64_t> d = ParseInt64(dst);
-    if (!s.ok() || !d.ok()) {
-      DemoteToLabeled(builder);
-      builder->AddEdge(src, dst);
-      return;
-    }
-    RememberSpelling(src, *s, 2 * numeric_edges_.size());
-    RememberSpelling(dst, *d, 2 * numeric_edges_.size() + 1);
-    numeric_edges_.emplace_back(*s, *d);
-  }
-
-  /// Flushes the numeric backlog into `builder`. Out-of-range ids are only
-  /// an error for an all-numeric file — a labeled file may legitimately
-  /// use "-1" as a label — which is why the check happens at finish time.
-  Status Finish(GraphBuilder* builder) {
-    if (!numeric_) return Status::OK();
-    // kInvalidNode is the reserved sentinel, so the largest usable id is
-    // one below it; anything bigger would silently wrap in the NodeId
-    // cast and build a wrong graph.
-    constexpr int64_t kMaxId = static_cast<int64_t>(kInvalidNode) - 1;
-    for (const auto& [s, d] : numeric_edges_) {
-      if (s < 0 || d < 0) {
-        return Status::ParseError("edgelist: negative node id");
-      }
-      if (s > kMaxId || d > kMaxId) {
-        return Status::ParseError("edgelist: node id " +
-                                  std::to_string(s > kMaxId ? s : d) +
-                                  " exceeds the 32-bit id range");
-      }
-      builder->AddEdge(static_cast<NodeId>(s), static_cast<NodeId>(d));
-    }
-    return Status::OK();
-  }
-
- private:
-  void RememberSpelling(std::string_view token, int64_t value,
-                        size_t position) {
-    // Canonical-spelling compare without materializing a std::string —
-    // this runs twice per edge on the numeric fast path.
-    char canonical[20];
-    const auto [end, ec] =
-        std::to_chars(canonical, canonical + sizeof(canonical), value);
-    (void)ec;  // int64 always fits 20 chars
-    if (token != std::string_view(canonical,
-                                  static_cast<size_t>(end - canonical))) {
-      spellings_.emplace_back(position, std::string(token));
-    }
-  }
-
-  void DemoteToLabeled(GraphBuilder* builder) {
-    numeric_ = false;
-    size_t next_spelling = 0;
-    auto label_at = [&](size_t position, int64_t value) -> std::string {
-      if (next_spelling < spellings_.size() &&
-          spellings_[next_spelling].first == position) {
-        return std::move(spellings_[next_spelling++].second);
-      }
-      return std::to_string(value);
-    };
-    for (size_t i = 0; i < numeric_edges_.size(); ++i) {
-      const auto [s, d] = numeric_edges_[i];
-      builder->AddEdge(label_at(2 * i, s), label_at(2 * i + 1, d));
-    }
-    numeric_edges_.clear();
-    numeric_edges_.shrink_to_fit();
-    spellings_.clear();
-  }
-
-  bool numeric_;
-  std::vector<std::pair<int64_t, int64_t>> numeric_edges_;
-  // (token position, original text) for numeric tokens whose spelling is
-  // not canonical; ascending by construction, usually empty.
-  std::vector<std::pair<size_t, std::string>> spellings_;
-};
+/// True when the whole token is a decimal `int64_t`.
+bool ParseId(std::string_view token, int64_t* value) {
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, *value);
+  return ec == std::errc() && end == last;
+}
 
 }  // namespace
 
-Result<Graph> ReadEdgeList(std::istream& in,
+Result<Graph> ReadEdgeList(std::string_view content,
                            const EdgeListReadOptions& options) {
-  GraphBuilder builder;
-  EdgeListParser parser(options.force_labeled);
-  std::string line;
-  size_t line_no = 0;
-  char delimiter = options.delimiter;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) continue;
-    std::string_view data = StripAsciiWhitespace(line);
-    if (delimiter == '\0') delimiter = DetectDelimiter(data);
-    std::string_view src, dst;
-    CYCLERANK_RETURN_NOT_OK(SplitPair(data, delimiter, line_no, &src, &dst));
-    parser.Accept(src, dst, &builder);
+  // One edge per line at most: reserve from the line count.
+  const size_t max_edges =
+      static_cast<size_t>(std::count(content.begin(), content.end(), '\n')) +
+      1;
+  // Large edgelists are overwhelmingly numeric, so the first pass reads ids
+  // straight into the builder. The first token that is not an integer makes
+  // the whole file labeled: a second pass reads it again from line 1 as
+  // labels, so every token keeps its spelling ("007" and "7" are different
+  // labels) and ids follow first appearance.
+  if (!options.force_labeled) {
+    GraphBuilder builder;
+    builder.ReserveEdges(max_edges);
+    bool labeled = false;
+    // Out-of-range ids are only an error for an all-numeric file — a
+    // labeled file may use "-1" as a label — so the first one is reported
+    // once the pass ends numeric. kInvalidNode is the reserved sentinel,
+    // so the largest usable id is one below it; anything bigger would wrap
+    // in the NodeId cast and build a wrong graph.
+    Status id_error;
+    constexpr int64_t kMaxId = static_cast<int64_t>(kInvalidNode) - 1;
+    CYCLERANK_RETURN_NOT_OK(ForEachEdge(
+        content, options.delimiter,
+        [&](std::string_view src, std::string_view dst) {
+          int64_t s = 0, d = 0;
+          if (!ParseId(src, &s) || !ParseId(dst, &d)) {
+            labeled = true;
+            return false;
+          }
+          if (s >= 0 && d >= 0 && s <= kMaxId && d <= kMaxId) {
+            builder.AddEdge(static_cast<NodeId>(s), static_cast<NodeId>(d));
+          } else if (id_error.ok()) {
+            id_error = s < 0 || d < 0
+                           ? Status::ParseError("edgelist: negative node id")
+                           : Status::ParseError(
+                                 "edgelist: node id " +
+                                 std::to_string(s > kMaxId ? s : d) +
+                                 " exceeds the 32-bit id range");
+          }
+          return true;
+        }));
+    if (!labeled) {
+      CYCLERANK_RETURN_NOT_OK(id_error);
+      return builder.Build(options.build);
+    }
   }
-  if (in.bad()) return Status::IOError("stream error while reading edgelist");
-  CYCLERANK_RETURN_NOT_OK(parser.Finish(&builder));
+  GraphBuilder builder;
+  builder.ReserveEdges(max_edges);
+  CYCLERANK_RETURN_NOT_OK(ForEachEdge(
+      content, options.delimiter,
+      [&](std::string_view src, std::string_view dst) {
+        builder.AddEdge(src, dst);
+        return true;
+      }));
   return builder.Build(options.build);
 }
 

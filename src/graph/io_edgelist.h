@@ -2,6 +2,7 @@
 #define CYCLERANK_GRAPH_IO_EDGELIST_H_
 
 #include <iosfwd>
+#include <string_view>
 
 #include "common/result.h"
 #include "graph/graph.h"
@@ -12,8 +13,9 @@ namespace cyclerank {
 /// Options for the edgelist (CSV) reader — the first of the three upload
 /// formats supported by the demo (paper §IV-B).
 struct EdgeListReadOptions {
-  /// Field separator; `'\0'` auto-detects per line: comma, semicolon, tab,
-  /// or runs of spaces, in that order of preference.
+  /// Field separator. `'\0'` detects it once, on the first data line, and
+  /// applies it to the whole file: comma, semicolon, tab, or runs of
+  /// whitespace, in that order of preference.
   char delimiter = '\0';
 
   /// When true, endpoint tokens are treated as labels even if they all look
@@ -27,8 +29,9 @@ struct EdgeListReadOptions {
 };
 
 /// Parses an edgelist: one `source<sep>target` pair per line. Lines starting
-/// with `#` or `%` and blank lines are ignored.
-Result<Graph> ReadEdgeList(std::istream& in,
+/// with `#` or `%` and blank lines are ignored. `content` is tokenized in
+/// place.
+Result<Graph> ReadEdgeList(std::string_view content,
                            const EdgeListReadOptions& options = {});
 
 /// Serializes `g` as `u,v` lines (labels when present, ids otherwise).

@@ -7,10 +7,9 @@
 namespace cyclerank {
 namespace {
 
-Result<Graph> Parse(const std::string& text,
+Result<Graph> Parse(std::string_view text,
                     const EdgeListReadOptions& options = {}) {
-  std::istringstream in(text);
-  return ReadEdgeList(in, options);
+  return ReadEdgeList(text, options);
 }
 
 TEST(EdgeListTest, ParsesCommaSeparatedNumericPairs) {
@@ -123,6 +122,14 @@ TEST(EdgeListTest, RejectsIdsBeyondNodeIdRange) {
   const Graph g = Parse("4294967296,foo\n").value();
   ASSERT_NE(g.labels(), nullptr);
   EXPECT_NE(g.FindNode("4294967296"), kInvalidNode);
+}
+
+TEST(EdgeListTest, DelimiterIsFixedByTheFirstDataLine) {
+  // The delimiter is detected once, not per line: a comma file whose second
+  // line uses a space has a one-field line there.
+  const Status status = Parse("0,1\n1 2\n").status();
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_EQ(status.message(), "edgelist line 2: expected 2 fields, got 1");
 }
 
 TEST(EdgeListTest, EmptyInputYieldsEmptyGraph) {
