@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/rng.h"
 #include "datasets/generators.h"
 #include "platform/datastore.h"
 
@@ -380,13 +381,40 @@ void BM_SpillTier_DegradedChurn(benchmark::State& state) {
 BENCHMARK(BM_SpillTier_DegradedChurn)
     ->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Text-upload admission: parse + CSR build + byte accounting for an
-/// n-node edge-list body, against a budget the upload always fits.
-void BM_Datastore_UploadDatasetParse(benchmark::State& state) {
+/// An n-node edge-list upload body. Kind 0 is a pre-sorted chain; kind 1
+/// is wiki-like (2–21 links per node, 40% of them to 32 hubs, targets
+/// unsorted within a row, some repeated); kind 2 is the same links with
+/// every endpoint spelled as a label.
+std::string UploadBody(int64_t nodes, int64_t kind) {
+  const auto name = [kind](uint64_t id) {
+    return kind == 2 ? "Page_" + std::to_string(id) : std::to_string(id);
+  };
   std::string content;
-  for (int64_t i = 0; i + 1 < state.range(0); ++i) {
-    content += std::to_string(i) + "," + std::to_string(i + 1) + "\n";
+  if (kind == 0) {
+    for (int64_t i = 0; i + 1 < nodes; ++i) {
+      content += name(i) + "," + name(i + 1) + "\n";
+    }
+    return content;
   }
+  Rng rng(7);
+  const uint64_t n = static_cast<uint64_t>(nodes);
+  for (uint64_t u = 0; u < n; ++u) {
+    const uint64_t degree = 2 + rng.NextBounded(20);
+    for (uint64_t e = 0; e < degree; ++e) {
+      const uint64_t v = rng.NextBounded(100) < 40
+                             ? rng.NextBounded(std::min<uint64_t>(32, n))
+                             : rng.NextBounded(n);
+      content += name(u) + "," + name(v) + "\n";
+    }
+  }
+  return content;
+}
+
+/// Text-upload admission: parse + CSR build + byte accounting for an
+/// n-node edge-list body (second argument: the `UploadBody` kind), against
+/// a budget the upload always fits.
+void BM_Datastore_UploadDatasetParse(benchmark::State& state) {
+  const std::string content = UploadBody(state.range(0), state.range(1));
   Datastore store(nullptr, GraphBudget(64u << 20));
   uint64_t uploads = 0;
   for (auto _ : state) {
@@ -397,7 +425,11 @@ void BM_Datastore_UploadDatasetParse(benchmark::State& state) {
   state.counters["content_bytes"] = static_cast<double>(content.size());
 }
 BENCHMARK(BM_Datastore_UploadDatasetParse)
-    ->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+    ->Args({1000, 0})
+    ->Args({10000, 0})
+    ->Args({2000, 1})
+    ->Args({2000, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace cyclerank

@@ -3,7 +3,7 @@
 namespace cyclerank {
 
 NodeId LabelMap::GetOrAdd(std::string_view label) {
-  auto it = index_.find(std::string(label));
+  auto it = index_.find(label);
   if (it != index_.end()) return it->second;
   const NodeId id = static_cast<NodeId>(labels_.size());
   labels_.emplace_back(label);
@@ -24,7 +24,7 @@ size_t LabelMap::MemoryBytes() const {
 }
 
 std::optional<NodeId> LabelMap::Find(std::string_view label) const {
-  auto it = index_.find(std::string(label));
+  auto it = index_.find(label);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

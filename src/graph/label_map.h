@@ -2,6 +2,7 @@
 #define CYCLERANK_GRAPH_LABEL_MAP_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,8 +51,18 @@ class LabelMap {
   size_t MemoryBytes() const;
 
  private:
+  /// Hashes `std::string` keys and `std::string_view` probes alike, so
+  /// lookups by view allocate nothing.
+  struct TransparentHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> labels_;
-  std::unordered_map<std::string, NodeId> index_;
+  std::unordered_map<std::string, NodeId, TransparentHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace cyclerank
