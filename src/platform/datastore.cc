@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "graph/io.h"
 #include "platform/params.h"
@@ -32,6 +33,20 @@ std::unique_ptr<SpillTier> MakeSpillTier(const PlatformOptions& options,
                                      what);
 }
 
+/// Deletes `<spill_dir>/cache/`, the result cache's disk tier in older
+/// versions: nothing reads it and no byte budget counts it.
+void RemoveRetiredCacheTier(const PlatformOptions& options, Env* env) {
+  if (options.spill_dir.empty()) return;
+  if (env == nullptr) env = Env::Default();
+  const std::string dir = options.spill_dir + "/cache";
+  const Result<std::vector<std::string>> listing = env->ListDir(dir);
+  if (!listing.ok()) return;  // the usual case: there is none
+  for (const std::string& filename : *listing) {
+    RemoveSpillLeftover(env, dir + "/" + filename);
+  }
+  RemoveSpillLeftover(env, dir);  // the directory, once emptied
+}
+
 }  // namespace
 
 Datastore::Datastore(DatasetCatalog* catalog, const PlatformOptions& options,
@@ -43,7 +58,9 @@ Datastore::Datastore(DatasetCatalog* catalog, const PlatformOptions& options,
                                   options.result_spill_bytes, "result")),
       graphs_(options.graph_store_bytes, dataset_spill_.get()),
       results_(options.max_retained_results),
-      result_cache_(options.result_cache_bytes) {}
+      result_cache_(options.result_cache_bytes) {
+  RemoveRetiredCacheTier(options, env);
+}
 
 Status Datastore::Flush() {
   // Drain every tier before reporting: a failure in the first must not

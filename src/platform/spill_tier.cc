@@ -195,6 +195,15 @@ SpillPayloadPtr MakeBytesSpillPayload(std::string bytes) {
   return std::make_shared<const BytesSpillPayload>(std::move(bytes));
 }
 
+void RemoveSpillLeftover(Env* env, const std::string& path) {
+  const Status removed = env->Remove(path);
+  if (!removed.ok()) {
+    CYCLERANK_LOG(kWarning) << "spill: cannot remove '" << path
+                            << "', left by an older version: "
+                            << removed.message();
+  }
+}
+
 SpillTier::SpillTier(std::string dir, SpillTierOptions options,
                      std::string what)
     : dir_(std::move(dir)),
@@ -251,6 +260,10 @@ void SpillTier::RecoverLocked() {
                             << "; starting empty";
   } else {
     for (const std::string& filename : *listing) {
+      if (filename == "manifest" || filename == "manifest.tmp") {
+        RemoveSpillLeftover(env_, dir_ + "/" + filename);  // older layout
+        continue;
+      }
       if (filename.size() < kSpillSuffix.size() ||
           filename.compare(filename.size() - kSpillSuffix.size(),
                            kSpillSuffix.size(), kSpillSuffix) != 0) {
@@ -279,8 +292,7 @@ void SpillTier::RecoverLocked() {
     }
   }
   // Pass 2: index in filename order. Recency is not persisted, so the LRU
-  // lists the files by name, the first name most recent. Leftovers of
-  // older versions (a `manifest`, `manifest.tmp`) are never read.
+  // lists the files by name, the first name most recent.
   for (auto it = valid.rbegin(); it != valid.rend(); ++it) {
     const SpillFileHeader& info = it->second;
     if (lru_.Contains(info.key)) {

@@ -109,6 +109,10 @@ using SpillPayloadPtr = std::shared_ptr<const SpillPayload>;
 /// Wraps already-materialized bytes (tests, small payloads).
 SpillPayloadPtr MakeBytesSpillPayload(std::string bytes);
 
+/// Deletes `path`, a file (or emptied directory) that an older spill layout
+/// left behind and nothing reads; a failure is logged, never fatal.
+void RemoveSpillLeftover(Env* env, const std::string& path);
+
 /// The disk tier of the datastore's storage hierarchy: when a byte-budgeted
 /// in-memory store evicts under pressure, the victim is *demoted* here
 /// instead of destroyed, and a later lookup transparently reloads it.
@@ -159,7 +163,8 @@ SpillPayloadPtr MakeBytesSpillPayload(std::string bytes);
 /// rename. Construction runs a recovery scan that indexes every valid
 /// `*.spill` file in filename order; corrupt or truncated files are skipped
 /// with a logged warning — a half-written file from a crash can never take
-/// recovery down. Recency lives only in memory: after a restart the LRU
+/// recovery down — and an older version's `manifest` and `manifest.tmp`
+/// are deleted. Recency lives only in memory: after a restart the LRU
 /// lists entries by filename (the first name most recent), which costs
 /// pruning accuracy, never data. The tier is itself byte-budgeted
 /// (`max_bytes`, 0 = unbounded, accounted in on-disk file bytes): past the

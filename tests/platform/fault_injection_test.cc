@@ -301,6 +301,23 @@ TEST(FaultInjectionTest, CrashAtEveryOperationRecoversCleanly) {
   EXPECT_TRUE(swept_past_the_end);  // the sweep covered every call site
 }
 
+TEST(FaultInjectionTest, LeftoverThatCannotBeRemovedIsNotFatal) {
+  // An older version's manifest the disk refuses to delete: recovery logs
+  // it and serves the tier as usual.
+  const std::string dir = FreshSpillDir("fi_leftover_remove");
+  {
+    SpillTier writer(dir, SpillTierOptions{}, "dataset");
+    ASSERT_TRUE(PutAndFlush(writer, "k", "payload").ok());
+  }
+  ASSERT_TRUE(Env::Default()->WriteFile(dir + "/manifest", "stale\n").ok());
+  FaultInjectingEnv env(Env::Default());
+  env.AddFault({Kind::kPersistent, EnvOp::kRemove, "manifest", 1});
+  SpillTier tier(dir, FaultyTierOptions(&env, 0), "dataset");
+  EXPECT_EQ(tier.stats().recovered_files, 1u);
+  EXPECT_EQ(tier.Get("k").value().payload, "payload");
+  EXPECT_TRUE(Env::Default()->FileSize(dir + "/manifest").ok());
+}
+
 TEST(FaultInjectionTest, TornTmpWriteNeverBecomesVisible) {
   const std::string dir = FreshSpillDir("fi_torn_tmp");
   {

@@ -595,7 +595,7 @@ TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
   // `results/` tiers holding CYSP1 and CYSP2 files, each with a `manifest`
   // (a recency order recovery no longer reads, naming one file that is
   // gone) and a torn `manifest.tmp`, plus a `cache/` tier that is no
-  // longer opened.
+  // longer opened. Opening the tiers deletes the leftovers.
   const std::string root = FreshSpillDir("older_layout");
   const auto payload_of = [](const std::string& sub, const std::string& key) {
     std::string payload;
@@ -620,16 +620,21 @@ TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
     std::ofstream(fs::path(dir) / "manifest") << manifest;
     std::ofstream(fs::path(dir) / "manifest.tmp") << manifest.substr(0, 40);
   }
-  const std::map<std::string, std::string> leftovers = [&] {
-    std::map<std::string, std::string> files = FileContents(root);
-    for (auto it = files.begin(); it != files.end();) {
-      const bool leftover = it->first.rfind("cache/", 0) == 0 ||
-                            it->first.find("manifest") != std::string::npos;
-      it = leftover ? std::next(it) : files.erase(it);
+  // Split the tree into the leftovers and the tiers' own *.spill files.
+  std::map<std::string, std::string> spills = FileContents(root);
+  std::map<std::string, std::string> leftovers;
+  for (auto it = spills.begin(); it != spills.end();) {
+    const bool leftover = it->first.rfind("cache/", 0) == 0 ||
+                          it->first.find("manifest") != std::string::npos;
+    if (!leftover) {
+      ++it;
+      continue;
     }
-    return files;
-  }();
+    leftovers.insert(*it);
+    it = spills.erase(it);
+  }
   ASSERT_EQ(leftovers.size(), 2u * 2 + 4 + 2);
+  ASSERT_EQ(spills.size(), 2u * 4);
 
   for (const std::string sub : {"datasets", "results"}) {
     SCOPED_TRACE(sub);
@@ -660,12 +665,14 @@ TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
     EXPECT_EQ(store.SpillStats().results.recovered_files, 4u);
     ASSERT_TRUE(store.Flush().ok());
   }
-  // Every leftover is still there, byte for byte.
+  // Opening removed every leftover, `cache/` included; the recovered
+  // *.spill files are all that is left, byte for byte.
   const std::map<std::string, std::string> after = FileContents(root);
   for (const auto& [path, bytes] : leftovers) {
-    ASSERT_EQ(after.count(path), 1u) << path;
-    EXPECT_EQ(after.at(path), bytes) << path;
+    EXPECT_EQ(after.count(path), 0u) << path;
   }
+  EXPECT_FALSE(fs::exists(fs::path(root) / "cache"));
+  EXPECT_EQ(after, spills);
 }
 
 TEST(SpillTierFilterTest, ColdMissesShortCircuitWithoutDiskProbes) {
