@@ -6,21 +6,6 @@
 
 namespace cyclerank {
 
-std::vector<std::string_view> SplitString(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::vector<std::string_view> SplitWhitespace(std::string_view s) {
   std::vector<std::string_view> out;
   size_t i = 0;

@@ -40,9 +40,6 @@ inline std::string_view ConsumeLine(std::string_view* text) {
   return line;
 }
 
-/// Splits `s` on `sep`, keeping empty fields ("a,,b" → {"a","","b"}).
-std::vector<std::string_view> SplitString(std::string_view s, char sep);
-
 /// Splits `s` on runs of ASCII whitespace, dropping empty fields.
 std::vector<std::string_view> SplitWhitespace(std::string_view s);
 

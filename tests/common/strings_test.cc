@@ -1,5 +1,8 @@
 #include "common/strings.h"
 
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace cyclerank {
@@ -12,18 +15,19 @@ TEST(StringsTest, StripAsciiWhitespace) {
   EXPECT_EQ(StripAsciiWhitespace("x"), "x");
 }
 
-TEST(StringsTest, SplitStringKeepsEmptyFields) {
-  const auto parts = SplitString("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-}
-
-TEST(StringsTest, SplitStringSingleField) {
-  const auto parts = SplitString("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
+TEST(StringsTest, ConsumeLineWalksTheLinesGetlineYields) {
+  const auto lines = [](std::string_view text) {
+    std::vector<std::string_view> out;
+    while (!text.empty()) out.push_back(ConsumeLine(&text));
+    return out;
+  };
+  using Lines = std::vector<std::string_view>;
+  EXPECT_EQ(lines(""), Lines{});
+  EXPECT_EQ(lines("\n"), Lines{""});
+  EXPECT_EQ(lines("a\n"), Lines{"a"});
+  EXPECT_EQ(lines("a"), Lines{"a"});  // no trailing newline
+  EXPECT_EQ(lines("a\n\nb\n"), (Lines{"a", "", "b"}));
+  EXPECT_EQ(lines("a\r\nb"), (Lines{"a\r", "b"}));  // '\r' is kept
 }
 
 TEST(StringsTest, SplitWhitespaceDropsEmpty) {
