@@ -84,9 +84,8 @@ bool ParseId(std::string_view token, int64_t* value) {
 Result<Graph> ReadEdgeList(std::string_view content,
                            const EdgeListReadOptions& options) {
   // One edge per line at most: reserve from the line count.
-  const size_t max_edges =
-      static_cast<size_t>(std::count(content.begin(), content.end(), '\n')) +
-      1;
+  const auto newlines = std::count(content.begin(), content.end(), '\n');
+  const size_t max_edges = static_cast<size_t>(newlines) + 1;
   // Large edgelists are overwhelmingly numeric, so the first pass reads ids
   // straight into the builder. The first token that is not an integer makes
   // the whole file labeled: a second pass reads it again from line 1 as
