@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 namespace cyclerank {
 namespace {
@@ -57,6 +58,16 @@ void DedupSortedRows(std::vector<uint64_t>* offsets,
 
 }  // namespace
 
+Status GraphBuildOptions::CheckNodes(uint64_t nodes,
+                                     std::string_view what) const {
+  const uint64_t ceiling = std::min<uint64_t>(max_nodes, kInvalidNode);
+  if (nodes <= ceiling) return Status::OK();
+  return Status::InvalidArgument(std::string(what) + ": " +
+                                 std::to_string(nodes) +
+                                 " nodes exceed the node ceiling of " +
+                                 std::to_string(ceiling));
+}
+
 void GraphBuilder::ReserveNodes(NodeId n) {
   min_nodes_ = std::max(min_nodes_, n);
 }
@@ -81,13 +92,15 @@ void GraphBuilder::AddEdge(std::string_view from, std::string_view to) {
 }
 
 Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) {
-  // Determine the node count.
-  NodeId n = min_nodes_;
+  // Determine the node count, in 64 bits so that id kInvalidNode cannot
+  // wrap it to 0.
+  uint64_t count = min_nodes_;
   for (const auto& [u, v] : edges_) {
-    n = std::max<NodeId>(n, u + 1);
-    n = std::max<NodeId>(n, v + 1);
+    count = std::max<uint64_t>(count, uint64_t{std::max(u, v)} + 1);
   }
-  if (labels_ && labels_->size() > n) n = static_cast<NodeId>(labels_->size());
+  if (labels_) count = std::max<uint64_t>(count, labels_->size());
+  CYCLERANK_RETURN_NOT_OK(options.CheckNodes(count, "graph"));
+  const NodeId n = static_cast<NodeId>(count);
 
   // A radix sort of the (source, target) pairs in two stable counting
   // sorts: on the target first, then on the source, reading the first

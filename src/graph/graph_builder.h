@@ -23,6 +23,16 @@ struct GraphBuildOptions {
   /// and distort PageRank's out-degree normalization, so they are dropped
   /// by default; readers expose the flag for faithful round-trips.
   bool drop_self_loops = true;
+
+  /// The most nodes a graph may have. Each reader checks a declared count
+  /// where it parses it, and `Build` checks the implied one, before either
+  /// allocates for it. `Datastore::UploadDataset` lowers it to what the
+  /// graph-store budget can hold; the default is the whole `NodeId` range.
+  uint64_t max_nodes = kInvalidNode;
+
+  /// OK when a graph of `nodes` nodes fits `max_nodes` (and `NodeId`);
+  /// otherwise InvalidArgument naming both, prefixed by `what`.
+  Status CheckNodes(uint64_t nodes, std::string_view what) const;
 };
 
 /// Accumulates edges and produces an immutable CSR `Graph`.
@@ -60,8 +70,9 @@ class GraphBuilder {
 
   /// Finalizes the graph in linear time: two stable counting sorts (on the
   /// target, then on the source) leave every out-row sorted, repeats are
-  /// dropped row by row, and the in-CSR is the transpose. The builder is
-  /// left empty and reusable.
+  /// dropped row by row, and the in-CSR is the transpose. A node count past
+  /// `options.max_nodes` is refused before anything is allocated. On
+  /// success the builder is left empty and reusable.
   Result<Graph> Build(const GraphBuildOptions& options = {});
 
   /// Convenience: `Build` wrapped into a shared pointer.

@@ -1,6 +1,5 @@
 #include "graph/io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/env.h"
@@ -73,22 +72,18 @@ GraphFormat SniffGraphFormat(std::string_view content) {
 
 Result<Graph> ReadGraphFromString(std::string_view content, GraphFormat format,
                                   const GraphBuildOptions& build) {
-  if (format == GraphFormat::kEdgeList) {
-    EdgeListReadOptions options;
-    options.build = build;
-    return ReadEdgeList(content, options);
-  }
-  // Pajek, METIS and ASD read streams.
-  std::istringstream in{std::string(content)};
   switch (format) {
+    case GraphFormat::kEdgeList: {
+      EdgeListReadOptions options;
+      options.build = build;
+      return ReadEdgeList(content, options);
+    }
     case GraphFormat::kPajek:
-      return ReadPajek(in, build);
+      return ReadPajek(content, build);
     case GraphFormat::kAsd:
-      return ReadAsd(in, build);
+      return ReadAsd(content, build);
     case GraphFormat::kMetis:
-      return ReadMetis(in, build);
-    case GraphFormat::kEdgeList:
-      break;
+      return ReadMetis(content, build);
   }
   return Status::Internal("unreachable graph format");
 }
@@ -113,40 +108,28 @@ Result<Graph> ReadGraphFile(const std::string& path, GraphFormat format,
 
 Result<std::string> WriteGraphToString(const Graph& g, GraphFormat format) {
   std::ostringstream out;
-  Status st;
-  switch (format) {
-    case GraphFormat::kEdgeList:
-      st = WriteEdgeList(g, out);
-      break;
-    case GraphFormat::kPajek:
-      st = WritePajek(g, out);
-      break;
-    case GraphFormat::kAsd:
-      st = WriteAsd(g, out);
-      break;
-    case GraphFormat::kMetis:
-      st = WriteMetis(g, out);
-      break;
-  }
-  if (!st.ok()) return st;
+  const Status written = [&] {
+    switch (format) {
+      case GraphFormat::kEdgeList:
+        return WriteEdgeList(g, out);
+      case GraphFormat::kPajek:
+        return WritePajek(g, out);
+      case GraphFormat::kAsd:
+        return WriteAsd(g, out);
+      case GraphFormat::kMetis:
+        return WriteMetis(g, out);
+    }
+    return Status::Internal("unreachable graph format");
+  }();
+  CYCLERANK_RETURN_NOT_OK(written);
   return out.str();
 }
 
 Status WriteGraphFile(const Graph& g, const std::string& path,
                       GraphFormat format) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  switch (format) {
-    case GraphFormat::kEdgeList:
-      return WriteEdgeList(g, out);
-    case GraphFormat::kPajek:
-      return WritePajek(g, out);
-    case GraphFormat::kAsd:
-      return WriteAsd(g, out);
-    case GraphFormat::kMetis:
-      return WriteMetis(g, out);
-  }
-  return Status::Internal("unreachable graph format");
+  CYCLERANK_ASSIGN_OR_RETURN(std::string content,
+                             WriteGraphToString(g, format));
+  return Env::Default()->WriteFile(path, content);
 }
 
 }  // namespace cyclerank

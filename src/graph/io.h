@@ -28,7 +28,9 @@ Result<GraphFormat> GraphFormatFromPath(std::string_view path);
 /// matches → ASD; otherwise edgelist.
 GraphFormat SniffGraphFormat(std::string_view content);
 
-/// Parses `content` in the given (or sniffed) format.
+/// Parses `content` in the given (or sniffed) format. Every reader walks
+/// `content` in place, line by line, and refuses a graph of more than
+/// `build.max_nodes` nodes before allocating for it.
 Result<Graph> ReadGraphFromString(std::string_view content,
                                   GraphFormat format,
                                   const GraphBuildOptions& build = {});
@@ -36,13 +38,14 @@ Result<Graph> ReadGraphFromString(std::string_view content,
                                   const GraphBuildOptions& build = {});
 
 /// Loads a graph file, inferring the format from the extension unless
-/// `format` is given.
+/// `format` is given: the whole file is read, then `ReadGraphFromString`.
 Result<Graph> ReadGraphFile(const std::string& path,
                             const GraphBuildOptions& build = {});
 Result<Graph> ReadGraphFile(const std::string& path, GraphFormat format,
                             const GraphBuildOptions& build = {});
 
-/// Serializes `g` to a string / file in `format`.
+/// Serializes `g` to a string in `format`; `WriteGraphFile` writes that
+/// string to `path` through `Env::Default()`.
 Result<std::string> WriteGraphToString(const Graph& g, GraphFormat format);
 Status WriteGraphFile(const Graph& g, const std::string& path,
                       GraphFormat format);

@@ -1,51 +1,41 @@
 #include "graph/io_asd.h"
 
-#include <istream>
 #include <ostream>
 #include <string>
 
 #include "common/strings.h"
 
 namespace cyclerank {
-namespace {
 
-bool NextDataLine(std::istream& in, std::string* line, size_t* line_no) {
-  while (std::getline(in, *line)) {
-    ++*line_no;
-    std::string_view data = StripAsciiWhitespace(*line);
-    if (!data.empty() && data[0] != '#') return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<Graph> ReadAsd(std::istream& in, const GraphBuildOptions& build) {
-  std::string line;
-  size_t line_no = 0;
-  if (!NextDataLine(in, &line, &line_no)) {
-    return Status::ParseError("asd: missing 'N M' header");
-  }
-  const auto header = SplitWhitespace(line);
-  if (header.size() != 2) {
-    return Status::ParseError("asd line " + std::to_string(line_no) +
-                              ": header must be 'N M'");
-  }
-  CYCLERANK_ASSIGN_OR_RETURN(int64_t n, ParseInt64(header[0]));
-  CYCLERANK_ASSIGN_OR_RETURN(int64_t m, ParseInt64(header[1]));
-  if (n < 0 || m < 0) {
-    return Status::ParseError("asd: negative count in header");
-  }
-
+Result<Graph> ReadAsd(std::string_view content,
+                      const GraphBuildOptions& build) {
   GraphBuilder builder;
-  builder.ReserveNodes(static_cast<NodeId>(n));
-  int64_t read = 0;
-  while (read < m) {
-    if (!NextDataLine(in, &line, &line_no)) {
-      return Status::ParseError("asd: expected " + std::to_string(m) +
-                                " edges, found " + std::to_string(read));
-    }
+  int64_t n = -1, m = 0, read = 0;  // n is -1 until the header is read
+  size_t line_no = 0;
+  while (!content.empty()) {
+    ++line_no;
+    const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
+    if (line.empty() || line[0] == '#') continue;
     const auto tokens = SplitWhitespace(line);
+    if (n < 0) {
+      if (tokens.size() != 2) {
+        return Status::ParseError("asd line " + std::to_string(line_no) +
+                                  ": header must be 'N M'");
+      }
+      CYCLERANK_ASSIGN_OR_RETURN(n, ParseInt64(tokens[0]));
+      CYCLERANK_ASSIGN_OR_RETURN(m, ParseInt64(tokens[1]));
+      if (n < 0 || m < 0) {
+        return Status::ParseError("asd: negative count in header");
+      }
+      CYCLERANK_RETURN_NOT_OK(build.CheckNodes(n, "asd header"));
+      builder.ReserveNodes(static_cast<NodeId>(n));
+      continue;
+    }
+    if (read == m) {
+      return Status::ParseError("asd: trailing data after " +
+                                std::to_string(m) + " edges (line " +
+                                std::to_string(line_no) + ")");
+    }
     if (tokens.size() != 2) {
       return Status::ParseError("asd line " + std::to_string(line_no) +
                                 ": expected 'u v'");
@@ -60,12 +50,11 @@ Result<Graph> ReadAsd(std::istream& in, const GraphBuildOptions& build) {
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v));
     ++read;
   }
-  if (NextDataLine(in, &line, &line_no)) {
-    return Status::ParseError("asd: trailing data after " +
-                              std::to_string(m) + " edges (line " +
-                              std::to_string(line_no) + ")");
+  if (n < 0) return Status::ParseError("asd: missing 'N M' header");
+  if (read < m) {
+    return Status::ParseError("asd: expected " + std::to_string(m) +
+                              " edges, found " + std::to_string(read));
   }
-  if (in.bad()) return Status::IOError("stream error while reading asd");
   return builder.Build(build);
 }
 

@@ -2,6 +2,7 @@
 #define CYCLERANK_GRAPH_IO_ASD_H_
 
 #include <iosfwd>
+#include <string_view>
 
 #include "common/result.h"
 #include "graph/graph.h"
@@ -16,7 +17,10 @@ namespace cyclerank {
 ///   N M          <- node count, edge count
 ///   u v          <- M lines, 0-based endpoints, u,v < N
 /// ```
-Result<Graph> ReadAsd(std::istream& in, const GraphBuildOptions& build = {});
+/// `content` is read in place. `N` past `build.max_nodes` is refused as
+/// soon as the header is parsed.
+Result<Graph> ReadAsd(std::string_view content,
+                      const GraphBuildOptions& build = {});
 
 /// Serializes `g` in ASD form (`N M` header + 0-based edge lines).
 Status WriteAsd(const Graph& g, std::ostream& out);

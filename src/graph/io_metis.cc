@@ -1,64 +1,47 @@
 #include "graph/io_metis.h"
 
-#include <istream>
 #include <ostream>
 #include <string>
 
 #include "common/strings.h"
 
 namespace cyclerank {
-namespace {
 
-bool NextDataLine(std::istream& in, std::string* line, size_t* line_no) {
-  while (std::getline(in, *line)) {
-    ++*line_no;
-    std::string_view data = StripAsciiWhitespace(*line);
-    if (!data.empty() && data[0] != '%') return true;
-  }
-  return false;
-}
-
-// Adjacency rows: blank lines are meaningful (a vertex with no
-// neighbours), so only comment lines are skipped here.
-bool NextAdjacencyLine(std::istream& in, std::string* line, size_t* line_no) {
-  while (std::getline(in, *line)) {
-    ++*line_no;
-    std::string_view data = StripAsciiWhitespace(*line);
-    if (data.empty() || data[0] != '%') return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Result<Graph> ReadMetis(std::istream& in, const GraphBuildOptions& build) {
-  std::string line;
-  size_t line_no = 0;
-  if (!NextDataLine(in, &line, &line_no)) {
-    return Status::ParseError("metis: missing header");
-  }
-  const auto header = SplitWhitespace(line);
-  if (header.size() < 2) {
-    return Status::ParseError("metis: header must be 'N M'");
-  }
-  if (header.size() > 2) {
-    return Status::Unimplemented(
-        "metis: weighted graphs (fmt/ncon header fields) are not supported");
-  }
-  CYCLERANK_ASSIGN_OR_RETURN(int64_t n, ParseInt64(header[0]));
-  CYCLERANK_ASSIGN_OR_RETURN(int64_t m, ParseInt64(header[1]));
-  if (n < 0 || m < 0) {
-    return Status::ParseError("metis: negative count in header");
-  }
-
+Result<Graph> ReadMetis(std::string_view content,
+                        const GraphBuildOptions& build) {
   GraphBuilder builder;
-  builder.ReserveNodes(static_cast<NodeId>(n));
+  int64_t n = -1, m = 0;  // n is -1 until the header is read
+  int64_t row = 0;         // adjacency rows read so far
   uint64_t listed = 0;
-  for (int64_t u = 0; u < n; ++u) {
-    if (!NextAdjacencyLine(in, &line, &line_no)) {
-      return Status::ParseError("metis: expected " + std::to_string(n) +
-                                " adjacency lines, found " +
-                                std::to_string(u));
+  size_t line_no = 0;
+  while (!content.empty()) {
+    ++line_no;
+    const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
+    if (!line.empty() && line[0] == '%') continue;
+    if (n < 0) {
+      if (line.empty()) continue;
+      const auto header = SplitWhitespace(line);
+      if (header.size() < 2) {
+        return Status::ParseError("metis: header must be 'N M'");
+      }
+      if (header.size() > 2) {
+        return Status::Unimplemented(
+            "metis: weighted graphs (fmt/ncon header fields) are not "
+            "supported");
+      }
+      CYCLERANK_ASSIGN_OR_RETURN(n, ParseInt64(header[0]));
+      CYCLERANK_ASSIGN_OR_RETURN(m, ParseInt64(header[1]));
+      if (n < 0 || m < 0) {
+        return Status::ParseError("metis: negative count in header");
+      }
+      CYCLERANK_RETURN_NOT_OK(build.CheckNodes(n, "metis header"));
+      builder.ReserveNodes(static_cast<NodeId>(n));
+      continue;
+    }
+    if (row == n) {  // trailing blanks are fine
+      if (line.empty()) continue;
+      return Status::ParseError("metis: trailing data at line " +
+                                std::to_string(line_no));
     }
     for (std::string_view token : SplitWhitespace(line)) {
       CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(token));
@@ -68,15 +51,17 @@ Result<Graph> ReadMetis(std::istream& in, const GraphBuildOptions& build) {
                                   " out of range [1, " + std::to_string(n) +
                                   "]");
       }
-      builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v - 1));
+      builder.AddEdge(static_cast<NodeId>(row), static_cast<NodeId>(v - 1));
       ++listed;
     }
+    ++row;
   }
-  if (NextDataLine(in, &line, &line_no)) {  // trailing blanks are fine
-    return Status::ParseError("metis: trailing data at line " +
-                              std::to_string(line_no));
+  if (n < 0) return Status::ParseError("metis: missing header");
+  if (row < n) {
+    return Status::ParseError("metis: expected " + std::to_string(n) +
+                              " adjacency lines, found " +
+                              std::to_string(row));
   }
-  if (in.bad()) return Status::IOError("stream error while reading metis");
   // Each undirected edge is listed from both endpoints (self-loops once).
   if (listed != 2 * static_cast<uint64_t>(m) &&
       listed != static_cast<uint64_t>(m)) {

@@ -1,6 +1,6 @@
 #include "graph/io_pajek.h"
 
-#include <istream>
+#include <algorithm>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -30,25 +30,37 @@ Status BadLine(size_t line_no, const std::string& what) {
 
 }  // namespace
 
-Result<Graph> ReadPajek(std::istream& in, const GraphBuildOptions& build) {
+Result<Graph> ReadPajek(std::string_view content,
+                        const GraphBuildOptions& build) {
   GraphBuilder builder;
   Section section = Section::kNone;
   int64_t declared_vertices = -1;
-  std::vector<std::string> labels;  // 0-based; empty string = unlabeled
+  // Views into `content` by vertex, empty = unlabeled; sized to the
+  // declared count by the first label.
+  std::vector<std::string_view> labels;
   bool any_label = false;
-
-  std::string line;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  // Adds the edge between 1-based vertex numbers, refusing a number past
+  // the ceiling (the NodeId cast would wrap it).
+  const auto add_edge = [&](int64_t u, int64_t v) -> Status {
+    CYCLERANK_RETURN_NOT_OK(build.CheckNodes(std::max(u, v), "pajek edge"));
+    builder.AddEdge(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1));
+    if (section == Section::kEdges || section == Section::kEdgesList) {
+      builder.AddEdge(static_cast<NodeId>(v - 1), static_cast<NodeId>(u - 1));
+    }
+    return Status::OK();
+  };
+
+  while (!content.empty()) {
     ++line_no;
-    std::string_view data = StripAsciiWhitespace(line);
+    const std::string_view data = StripAsciiWhitespace(ConsumeLine(&content));
     if (data.empty() || data[0] == '%') continue;
 
     if (data[0] == '*') {
       const std::string keyword = AsciiToLower(data.substr(1));
       const auto tokens = SplitWhitespace(keyword);
       if (tokens.empty()) return BadLine(line_no, "empty section header");
-      const std::string head(tokens[0]);
+      const std::string_view head = tokens[0];
       if (head == "vertices") {
         if (tokens.size() < 2) {
           return BadLine(line_no, "*Vertices requires a count");
@@ -57,7 +69,9 @@ Result<Graph> ReadPajek(std::istream& in, const GraphBuildOptions& build) {
         if (declared_vertices < 0) {
           return BadLine(line_no, "negative vertex count");
         }
-        labels.assign(static_cast<size_t>(declared_vertices), "");
+        CYCLERANK_RETURN_NOT_OK(
+            build.CheckNodes(declared_vertices, "pajek *Vertices"));
+        labels.clear();
         section = Section::kVertices;
       } else if (head == "arcs") {
         section = Section::kArcs;
@@ -68,30 +82,30 @@ Result<Graph> ReadPajek(std::istream& in, const GraphBuildOptions& build) {
       } else if (head == "edgeslist") {
         section = Section::kEdgesList;
       } else {
-        return BadLine(line_no, "unknown section '*" + head + "'");
+        return BadLine(line_no, "unknown section '*" + std::string(head) + "'");
       }
       continue;
     }
 
+    const auto tokens = SplitWhitespace(data);
     switch (section) {
       case Section::kNone:
         return BadLine(line_no, "data before any section header");
       case Section::kVertices: {
-        const auto tokens = SplitWhitespace(data);
         CYCLERANK_ASSIGN_OR_RETURN(int64_t idx, ParseInt64(tokens[0]));
         if (idx < 1 || idx > declared_vertices) {
           return BadLine(line_no, "vertex id out of range");
         }
         const std::string_view label = ExtractQuotedLabel(data);
         if (!label.empty()) {
-          labels[static_cast<size_t>(idx - 1)] = std::string(label);
+          labels.resize(static_cast<size_t>(declared_vertices));
+          labels[static_cast<size_t>(idx - 1)] = label;
           any_label = true;
         }
         break;
       }
       case Section::kArcs:
       case Section::kEdges: {
-        const auto tokens = SplitWhitespace(data);
         if (tokens.size() < 2) return BadLine(line_no, "expected 'u v'");
         CYCLERANK_ASSIGN_OR_RETURN(int64_t u, ParseInt64(tokens[0]));
         CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tokens[1]));
@@ -100,51 +114,37 @@ Result<Graph> ReadPajek(std::istream& in, const GraphBuildOptions& build) {
              (u > declared_vertices || v > declared_vertices))) {
           return BadLine(line_no, "endpoint out of range");
         }
-        const NodeId a = static_cast<NodeId>(u - 1);
-        const NodeId b = static_cast<NodeId>(v - 1);
-        builder.AddEdge(a, b);
-        if (section == Section::kEdges) builder.AddEdge(b, a);
+        CYCLERANK_RETURN_NOT_OK(add_edge(u, v));
         break;
       }
       case Section::kArcsList:
       case Section::kEdgesList: {
-        const auto tokens = SplitWhitespace(data);
         if (tokens.size() < 2) return BadLine(line_no, "expected 'u v...'");
         CYCLERANK_ASSIGN_OR_RETURN(int64_t u, ParseInt64(tokens[0]));
         if (u < 1) return BadLine(line_no, "endpoint out of range");
         for (size_t i = 1; i < tokens.size(); ++i) {
           CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tokens[i]));
           if (v < 1) return BadLine(line_no, "endpoint out of range");
-          const NodeId a = static_cast<NodeId>(u - 1);
-          const NodeId b = static_cast<NodeId>(v - 1);
-          builder.AddEdge(a, b);
-          if (section == Section::kEdgesList) builder.AddEdge(b, a);
+          CYCLERANK_RETURN_NOT_OK(add_edge(u, v));
         }
         break;
       }
     }
   }
-  if (in.bad()) return Status::IOError("stream error while reading pajek");
   if (declared_vertices < 0) {
     return Status::ParseError("pajek: missing *Vertices section");
   }
 
   builder.ReserveNodes(static_cast<NodeId>(declared_vertices));
   if (any_label) {
-    // Re-register labels so ids align: vertex i-1 must get id i-1. AddNode
-    // assigns ids densely in insertion order, so insert in vertex order and
-    // fall back to a synthetic label for unlabeled vertices.
-    GraphBuilder labeled;
+    // Vertex i-1 must get id i-1, and AddNode numbers labels densely in
+    // first-registration order, so register them in vertex order (a
+    // synthetic name for an unlabeled vertex) before the single Build.
+    labels.resize(static_cast<size_t>(declared_vertices));
     for (size_t i = 0; i < labels.size(); ++i) {
-      labeled.AddNode(labels[i].empty() ? "v" + std::to_string(i + 1)
-                                        : labels[i]);
+      builder.AddNode(labels[i].empty() ? "v" + std::to_string(i + 1)
+                                        : std::string(labels[i]));
     }
-    CYCLERANK_ASSIGN_OR_RETURN(Graph unlabeled, builder.Build(build));
-    for (NodeId u = 0; u < unlabeled.num_nodes(); ++u) {
-      for (NodeId v : unlabeled.OutNeighbors(u)) labeled.AddEdge(u, v);
-    }
-    labeled.ReserveNodes(static_cast<NodeId>(declared_vertices));
-    return labeled.Build(build);
   }
   return builder.Build(build);
 }

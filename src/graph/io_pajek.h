@@ -2,6 +2,7 @@
 #define CYCLERANK_GRAPH_IO_PAJEK_H_
 
 #include <iosfwd>
+#include <string_view>
 
 #include "common/result.h"
 #include "graph/graph.h"
@@ -23,8 +24,12 @@ namespace cyclerank {
 /// ```
 /// `%` starts a comment line. Weights are accepted and ignored (the demo's
 /// algorithms are unweighted). `*Arcslist` / `*Edgeslist` adjacency-list
-/// sections are also handled.
-Result<Graph> ReadPajek(std::istream& in, const GraphBuildOptions& build = {});
+/// sections are also handled. `content` is read in place; a `*Vertices`
+/// count or a vertex number past `build.max_nodes` is refused where it is
+/// parsed. When any vertex is labeled, vertex i gets the label given for it
+/// (or `"v<i>"`) and the graph carries a `LabelMap`.
+Result<Graph> ReadPajek(std::string_view content,
+                        const GraphBuildOptions& build = {});
 
 /// Serializes `g` as `*Vertices` (+labels) and `*Arcs`.
 Status WritePajek(const Graph& g, std::ostream& out);

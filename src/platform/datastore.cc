@@ -188,7 +188,12 @@ Status Datastore::UploadDataset(const std::string& name,
         " bytes, larger than the graph-store budget of " +
         std::to_string(budget) + " bytes; rejected before parsing");
   }
-  CYCLERANK_ASSIGN_OR_RETURN(Graph graph, ReadGraphFromString(content));
+  // Every node costs at least 16 bytes of offsets in MemoryBytes(), so a
+  // graph of more than budget / 16 nodes could never be stored: the reader
+  // refuses it before allocating for it.
+  GraphBuildOptions build;
+  if (budget != 0) build.max_nodes = budget / 16;
+  CYCLERANK_ASSIGN_OR_RETURN(Graph graph, ReadGraphFromString(content, build));
   return PutDataset(name, std::make_shared<Graph>(std::move(graph)));
 }
 

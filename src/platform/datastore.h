@@ -111,7 +111,10 @@ class Datastore {
   /// oversized request bodies from costing parse work. It is conservative:
   /// a verbosely-labeled text can parse to a smaller CSR that would have
   /// fit; upload such a dataset pre-parsed via `PutDataset`, which admits
-  /// on the exact `MemoryBytes` figure.
+  /// on the exact `MemoryBytes` figure. With a budget, the reader also
+  /// refuses a graph of more than `budget / 16` nodes (declared or implied)
+  /// with `kInvalidArgument` before allocating for it: such a graph could
+  /// never fit, since each node costs 16 bytes of CSR offsets.
   Status UploadDataset(const std::string& name, const std::string& content);
 
   /// Fetches a dataset: uploaded first, then the backing catalog. Fetching

@@ -1,5 +1,7 @@
 #include "common/env.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <string>
@@ -10,10 +12,12 @@
 namespace cyclerank {
 namespace {
 
-/// A fresh, empty directory under the test temp root.
+/// A fresh, empty directory under the test temp root; the pid keeps two
+/// test processes on one host apart.
 std::string FreshDir(const std::string& name) {
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("cyclerank_env_" + name);
+      std::filesystem::path(::testing::TempDir()) /
+      ("cyclerank_env_" + name + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

@@ -149,5 +149,28 @@ TEST(GraphBuilderTest, PendingEdgesCountsBeforeBuild) {
   EXPECT_EQ(builder.PendingEdges(), 2u);
 }
 
+TEST(GraphBuilderTest, BuildRefusesMoreNodesThanTheCeiling) {
+  GraphBuildOptions options;
+  options.max_nodes = 9;
+  GraphBuilder builder;
+  builder.AddEdge(0, 9);
+  const Status status = builder.Build(options).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "graph: 10 nodes exceed the node ceiling of 9");
+  options.max_nodes = 10;
+  EXPECT_EQ(builder.Build(options).value().num_nodes(), 10u);
+  // The implied count is refused before the CSR is sized for it.
+  builder.AddEdge(kInvalidNode - 1, 0);
+  EXPECT_EQ(builder.Build(options).status().message(),
+            "graph: 4294967295 nodes exceed the node ceiling of 10");
+}
+
+TEST(GraphBuilderTest, TheSentinelIdCannotWrapTheNodeCount) {
+  GraphBuilder builder;
+  builder.AddEdge(kInvalidNode, 0);
+  EXPECT_EQ(builder.Build().status().message(),
+            "graph: 4294967296 nodes exceed the node ceiling of 4294967295");
+}
+
 }  // namespace
 }  // namespace cyclerank

@@ -7,10 +7,7 @@
 namespace cyclerank {
 namespace {
 
-Result<Graph> Parse(const std::string& text) {
-  std::istringstream in(text);
-  return ReadAsd(in);
-}
+Result<Graph> Parse(const std::string& text) { return ReadAsd(text); }
 
 TEST(AsdTest, ParsesHeaderAndEdges) {
   const Graph g = Parse("3 3\n0 1\n1 2\n2 0\n").value();

@@ -10,10 +10,7 @@
 namespace cyclerank {
 namespace {
 
-Result<Graph> Parse(const std::string& text) {
-  std::istringstream in(text);
-  return ReadMetis(in);
-}
+Result<Graph> Parse(const std::string& text) { return ReadMetis(text); }
 
 TEST(MetisTest, ParsesAdjacencyLines) {
   // Triangle: 3 nodes, 3 undirected edges, each listed from both sides.

@@ -7,10 +7,7 @@
 namespace cyclerank {
 namespace {
 
-Result<Graph> Parse(const std::string& text) {
-  std::istringstream in(text);
-  return ReadPajek(in);
-}
+Result<Graph> Parse(const std::string& text) { return ReadPajek(text); }
 
 TEST(PajekTest, ParsesVerticesAndArcs) {
   const Graph g = Parse(

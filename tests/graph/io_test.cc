@@ -1,8 +1,11 @@
 #include "graph/io.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -89,7 +92,8 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, IoRoundTripTest,
 TEST(IoTest, FileRoundTrip) {
   GraphBuildOptions build;
   const Graph g = ReadGraphFromString("0,1\n1,2\n2,0\n").value();
-  const std::string path = ::testing::TempDir() + "/io_test_graph.asd";
+  const std::string path = ::testing::TempDir() + "/io_test_graph_" +
+                           std::to_string(::getpid()) + ".asd";
   ASSERT_TRUE(WriteGraphFile(g, path, GraphFormat::kAsd).ok());
   const Graph g2 = ReadGraphFile(path).value();  // format from extension
   EXPECT_EQ(g2.num_edges(), 3u);
@@ -99,6 +103,57 @@ TEST(IoTest, FileRoundTrip) {
 TEST(IoTest, ReadMissingFileIsIOError) {
   EXPECT_EQ(ReadGraphFile("/nonexistent/path/g.csv").status().code(),
             StatusCode::kIOError);
+}
+
+std::string ReadError(std::string_view body, GraphFormat format,
+                      uint64_t max_nodes) {
+  GraphBuildOptions build;
+  build.max_nodes = max_nodes;
+  const Result<Graph> graph = ReadGraphFromString(body, format, build);
+  return graph.ok() ? "ok" : graph.status().ToString();
+}
+
+TEST(IoTest, DeclaredNodeCountsPastTheCeilingAreRefused) {
+  EXPECT_EQ(ReadError("*Vertices 4\n", GraphFormat::kPajek, 4), "ok");
+  EXPECT_EQ(ReadError("*Vertices 5\n", GraphFormat::kPajek, 4),
+            "InvalidArgument: pajek *Vertices: 5 nodes exceed the node "
+            "ceiling of 4");
+  EXPECT_EQ(ReadError("4 0\n\n\n\n\n", GraphFormat::kMetis, 4), "ok");
+  EXPECT_EQ(ReadError("5 0\n", GraphFormat::kMetis, 4),
+            "InvalidArgument: metis header: 5 nodes exceed the node ceiling "
+            "of 4");
+  EXPECT_EQ(ReadError("4 0\n", GraphFormat::kAsd, 4), "ok");
+  EXPECT_EQ(ReadError("5 0\n", GraphFormat::kAsd, 4),
+            "InvalidArgument: asd header: 5 nodes exceed the node ceiling of "
+            "4");
+  // Implied counts: the edge list's largest id, Pajek list targets.
+  EXPECT_EQ(ReadError("0,3\n", GraphFormat::kEdgeList, 4), "ok");
+  EXPECT_EQ(ReadError("0,4\n", GraphFormat::kEdgeList, 4),
+            "InvalidArgument: graph: 5 nodes exceed the node ceiling of 4");
+  EXPECT_EQ(
+      ReadError("*Vertices 1\n*Arcslist\n1 5\n", GraphFormat::kPajek, 4),
+      "InvalidArgument: pajek edge: 5 nodes exceed the node ceiling of 4");
+}
+
+TEST(IoTest, CountsPastTheNodeIdRangeAreRefused) {
+  // With no budget the ceiling is the NodeId range. Each count used to
+  // reach a cast or an allocation: the ASD count wrapped to 1, the list
+  // target wrapped to vertex 1, the *Vertices count sized a label array.
+  const uint64_t kRange = GraphBuildOptions().max_nodes;
+  EXPECT_EQ(ReadError("4294967297 1\n0 1\n", GraphFormat::kAsd, kRange),
+            "InvalidArgument: asd header: 4294967297 nodes exceed the node "
+            "ceiling of 4294967295");
+  EXPECT_EQ(ReadError("4294967296 0\n", GraphFormat::kMetis, kRange),
+            "InvalidArgument: metis header: 4294967296 nodes exceed the node "
+            "ceiling of 4294967295");
+  EXPECT_EQ(ReadError("*Vertices 1\n*Arcslist\n1 4294967297\n",
+                      GraphFormat::kPajek, kRange),
+            "InvalidArgument: pajek edge: 4294967297 nodes exceed the node "
+            "ceiling of 4294967295");
+  EXPECT_EQ(ReadError("*Vertices 4294967298\n*Arcs\n1 2\n",
+                      GraphFormat::kPajek, kRange),
+            "InvalidArgument: pajek *Vertices: 4294967298 nodes exceed the "
+            "node ceiling of 4294967295");
 }
 
 }  // namespace

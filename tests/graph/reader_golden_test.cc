@@ -11,8 +11,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,19 @@ GraphBuildOptions Build(bool deduplicate, bool drop_self_loops) {
   build.drop_self_loops = drop_self_loops;
   return build;
 }
+
+/// A scratch path that no other test process on the host uses.
+std::string ScratchPath(const std::string& name) {
+  return ::testing::TempDir() + "/reader_golden_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
+struct CorpusCase {
+  const char* name;
+  std::string body;
+  GraphBuildOptions build;
+  const char* expected;
+};
 
 TEST(EdgeListGoldenTest, CatalogDatasetsBuildAndRoundTrip) {
   const struct {
@@ -100,8 +116,7 @@ TEST(EdgeListGoldenTest, CatalogDatasetsBuildAndRoundTrip) {
         WriteGraphToString(**graph, GraphFormat::kEdgeList).value();
     EXPECT_EQ(Outcome(ReadEdgeListText(text)), c.round_trip);
     // A file goes through the same reader.
-    const std::string path =
-        ::testing::TempDir() + "/edgelist_golden_" + c.name + ".csv";
+    const std::string path = ScratchPath(std::string(c.name) + ".csv");
     ASSERT_TRUE(WriteGraphFile(**graph, path, GraphFormat::kEdgeList).ok());
     EXPECT_EQ(Outcome(ReadGraphFile(path)), c.round_trip);
     std::remove(path.c_str());
@@ -149,14 +164,9 @@ TEST(EdgeListGoldenTest, SeededWikiLikeNumericBody) {
             "n=3000 m=43634 labeled=0 fnv=4f0398f57082ee84");
 }
 
-TEST(EdgeListGoldenTest, EdgeCaseCorpus) {
+std::vector<CorpusCase> EdgeListCorpus() {
   const GraphBuildOptions kDefault;
-  const struct {
-    const char* name;
-    std::string body;
-    GraphBuildOptions build;
-    const char* expected;
-  } kCases[] = {
+  return {
       {"empty", "", kDefault,
        "n=0 m=0 labeled=0 fnv=463cd5ea02a5f42b"},
       {"only blanks and comments", "  \n\r\n# a\n% b\n\t\n", kDefault,
@@ -250,16 +260,13 @@ TEST(EdgeListGoldenTest, EdgeCaseCorpus) {
       {"labeled default", "a,b\na,b\nb,b\nc,a\n", kDefault,
        "n=3 m=2 labeled=1 fnv=aab06fde99ab981e"},
   };
-  for (const auto& c : kCases) {
+}
+
+TEST(EdgeListGoldenTest, EdgeCaseCorpus) {
+  for (const auto& c : EdgeListCorpus()) {
     EXPECT_EQ(Outcome(ReadEdgeListText(c.body, c.build)), c.expected)
         << c.name;
   }
-}
-
-/// A scratch path that no other test process on the host uses.
-std::string ScratchPath(const std::string& name) {
-  return ::testing::TempDir() + "/reader_golden_" +
-         std::to_string(::getpid()) + "_" + name;
 }
 
 /// Writes `g` in `format` and reads it back through a string and through
@@ -322,13 +329,6 @@ TEST(ReaderGoldenTest, CatalogDatasetsRoundTripInEveryFormat) {
     EXPECT_EQ(RoundTrip(symmetric, GraphFormat::kMetis, c.name), c.metis);
   }
 }
-
-struct CorpusCase {
-  const char* name;
-  std::string body;
-  GraphBuildOptions build;
-  const char* expected;
-};
 
 std::vector<CorpusCase> PajekCorpus() {
   const GraphBuildOptions kDefault;
@@ -620,6 +620,93 @@ TEST(ReaderGoldenTest, SniffedBodies) {
             "n=3 m=2 labeled=0 fnv=48bbd3438254b1bb");
   EXPECT_EQ(Outcome(ReadGraphFromString("3 1\n0 1\n1 2\n")),
             "n=4 m=3 labeled=0 fnv=2e022df9a16d291b");
+}
+
+// Seeded byte mutations of the corpora above: whatever a body turns into,
+// a reader must return a graph within the node ceiling or an error, never
+// crash, trip a sanitizer or allocate for a graph past the ceiling.
+// `tools/verify.sh --faults` sweeps it over CYCLERANK_FAULT_SEED values
+// under ASan+UBSan; unset, it runs one fixed seed.
+
+uint64_t FaultSeed() {
+  const char* raw = std::getenv("CYCLERANK_FAULT_SEED");
+  return raw == nullptr ? 1 : std::strtoull(raw, nullptr, 10);
+}
+
+/// Applies one mutation to `*body`: a flipped byte, an inserted byte, an
+/// inserted token (huge counts, section headers, line ends), a deleted
+/// run or a truncation.
+void Mutate(Rng& rng, std::string* body) {
+  static const char* const kTokens[] = {
+      "4294967294", "4294967297", "18446744073709551615", "65", "-1", "0",
+      "\n",         "\r\n",       " ",                    ",",  "\"", "%",
+      "#",          "*Vertices ", "*Arcslist\n",          "*Edges\n"};
+  const size_t size = body->size();
+  switch (rng.NextBounded(5)) {
+    case 0:
+      if (size > 0) {
+        (*body)[rng.NextBounded(size)] ^=
+            static_cast<char>(1 + rng.NextBounded(255));
+      }
+      break;
+    case 1:
+      body->insert(rng.NextBounded(size + 1), 1,
+                   static_cast<char>(rng.NextBounded(256)));
+      break;
+    case 2:
+      body->insert(rng.NextBounded(size + 1),
+                   kTokens[rng.NextBounded(std::size(kTokens))]);
+      break;
+    case 3:
+      if (size > 0) {
+        const size_t at = rng.NextBounded(size);
+        body->erase(at, 1 + rng.NextBounded(std::min<size_t>(8, size - at)));
+      }
+      break;
+    default:
+      body->resize(rng.NextBounded(size + 1));
+      break;
+  }
+}
+
+TEST(ReaderMutationTest, SeededMutationsParseOrFail) {
+  const uint64_t seed = FaultSeed();
+  SCOPED_TRACE("CYCLERANK_FAULT_SEED=" + std::to_string(seed));
+  constexpr uint64_t kMaxNodes = 64;
+  const auto check = [&](const Result<Graph>& graph, const std::string& body) {
+    if (!graph.ok()) {
+      const StatusCode code = graph.status().code();
+      EXPECT_TRUE(code == StatusCode::kParseError ||
+                  code == StatusCode::kInvalidArgument ||
+                  code == StatusCode::kUnimplemented)
+          << graph.status().ToString() << " for body '" << body << "'";
+      return;
+    }
+    EXPECT_LE(graph->num_nodes(), kMaxNodes) << "body '" << body << "'";
+    EXPECT_TRUE(Graph::Deserialize(graph->Serialize()).ok());
+  };
+  const struct {
+    GraphFormat format;
+    std::vector<CorpusCase> corpus;
+  } kFormats[] = {{GraphFormat::kEdgeList, EdgeListCorpus()},
+                  {GraphFormat::kPajek, PajekCorpus()},
+                  {GraphFormat::kMetis, MetisCorpus()},
+                  {GraphFormat::kAsd, AsdCorpus()}};
+  Rng rng(seed);
+  for (const auto& [format, corpus] : kFormats) {
+    SCOPED_TRACE(std::string(GraphFormatToString(format)));
+    for (int round = 0; round < 5000; ++round) {
+      const CorpusCase& c = corpus[rng.NextBounded(corpus.size())];
+      std::string body = c.body;
+      for (uint64_t i = 1 + rng.NextBounded(4); i > 0; --i) {
+        Mutate(rng, &body);
+      }
+      GraphBuildOptions build = c.build;
+      build.max_nodes = kMaxNodes;
+      check(ReadGraphFromString(body, format, build), body);
+      check(ReadGraphFromString(body, build), body);  // sniffed
+    }
+  }
 }
 
 }  // namespace

@@ -425,6 +425,40 @@ TEST_F(NetE2eTest, GracefulShutdownAnswersParkedWaits) {
   }
 }
 
+TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
+  // A 2 MiB graph budget holds at most 131072 nodes. Each body names
+  // 2^32 - 2 or more nodes; the 13-byte edge list used to ask the daemon
+  // for two 32 GiB offset arrays, the Pajek body threw bad_alloc.
+  PlatformOptions options = PlatformOptions::WithWorkers(2, 7);
+  options.graph_store_bytes = 2 << 20;
+  options.listen_port = 0;
+  options.io_threads = 1;
+  Datastore store(nullptr, options);
+  AlgorithmRegistry registry;
+  ASSERT_TRUE(registry.Register(MakeAlgorithm(AlgorithmKind::kPageRank)).ok());
+  ApiGateway gateway(&store, &registry, options);
+  NetServer server(&gateway, options);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (const std::string body :
+       {"4294967294,0\n", "*Vertices 4294967298\n*Arcs\n1 2\n",
+        "4294967297 1\n0 1\n"}) {
+    const Status refused = client.UploadDataset("huge", body);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("nodes exceed the node ceiling of 131072"),
+              std::string::npos)
+        << refused.ToString();
+  }
+  // The same connection is served next.
+  ASSERT_TRUE(client.UploadDataset("small", "a,b\nb,a\n").ok());
+  TaskBuilder builder;
+  ASSERT_TRUE(builder.Add("small", "pagerank", "").ok());
+  const std::string id = client.SubmitQuerySet(builder.Build()).value();
+  ASSERT_TRUE(client.WaitForCompletion(id, 30.0).value());
+  EXPECT_EQ(client.GetResults(id).value().size(), 1u);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace cyclerank

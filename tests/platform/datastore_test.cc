@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/io.h"
 #include "platform/params.h"
 #include "platform/result_io.h"
 #include "storage_test_util.h"
@@ -160,6 +161,65 @@ TEST(DatastoreTest, UploadDatasetRejectsOversizedContentBeforeParsing) {
   // Unbounded stores still accept anything parseable.
   Datastore unbounded(nullptr);
   EXPECT_TRUE(unbounded.UploadDataset("big", content).ok());
+}
+
+TEST(DatastoreTest, UploadRefusesTinyBodiesNamingHugeGraphs) {
+  // A 2 MiB budget holds at most 131072 nodes (16 bytes of offsets each).
+  // Each body names at least 2^32 - 2 nodes in at most 32 bytes; at the
+  // parent they threw bad_alloc or asked for 32 GiB offset arrays, and the
+  // ASD count was cut to 32 bits.
+  Datastore store(nullptr, GraphBudget(2 << 20));
+  const struct {
+    const char* format;
+    std::string body;
+    const char* count;
+  } kCases[] = {
+      {"edgelist", "4294967294,0\n", "4294967295"},
+      {"pajek", "*Vertices 4294967298\n*Arcs\n1 2\n", "4294967298"},
+      {"asd", "4294967297 1\n0 1\n", "4294967297"},
+      // Never sniffed as METIS: it reads as an ASD header with no edges.
+      {"metis", "4294967294 0\n", "4294967294"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.format);
+    ASSERT_LE(c.body.size(), 32u);
+    const Status status = store.UploadDataset(c.format, c.body);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(std::string(c.count) +
+                                    " nodes exceed the node ceiling of 131072"),
+              std::string::npos)
+        << status.ToString();
+  }
+  // The METIS reader, selected explicitly, uses the same ceiling.
+  GraphBuildOptions build;
+  build.max_nodes = (2 << 20) / 16;
+  EXPECT_EQ(ReadGraphFromString("4294967294 0\n", GraphFormat::kMetis, build)
+                .status()
+                .ToString(),
+            "InvalidArgument: metis header: 4294967294 nodes exceed the node "
+            "ceiling of 131072");
+  EXPECT_TRUE(store.UploadedDatasets().empty());
+}
+
+TEST(DatastoreTest, UploadNodeCeilingIsTheBudgetOver16) {
+  // 1600 bytes: 100 nodes pass the ceiling and are refused on their bytes
+  // by PutDataset; 101 nodes are refused by the reader, on their count.
+  Datastore store(nullptr, GraphBudget(1600));
+  const Status at = store.UploadDataset("at", "100 0\n");
+  EXPECT_EQ(at.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(at.message().find("bytes"), std::string::npos) << at.ToString();
+  const Status past = store.UploadDataset("past", "101 0\n");
+  EXPECT_EQ(past.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.message().find("101 nodes exceed the node ceiling of 100"),
+            std::string::npos)
+      << past.ToString();
+  // With no budget the ceiling is the NodeId range.
+  Datastore unbounded(nullptr);
+  EXPECT_TRUE(unbounded.UploadDataset("wide", "100000 0\n").ok());
+  EXPECT_NE(unbounded.UploadDataset("asd", "4294967297 1\n0 1\n")
+                .message()
+                .find("4294967297 nodes exceed the node ceiling of 4294967295"),
+            std::string::npos);
 }
 
 TEST(DatastoreTest, EvictionNeverFreesAPinnedSnapshot) {

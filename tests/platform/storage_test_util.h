@@ -1,8 +1,11 @@
 #ifndef CYCLERANK_TESTS_PLATFORM_STORAGE_TEST_UTIL_H_
 #define CYCLERANK_TESTS_PLATFORM_STORAGE_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
@@ -34,11 +37,20 @@ inline PlatformOptions RetainResults(size_t n) {
   return options;
 }
 
-/// A fresh, empty directory under the test temp root for spill-tier
-/// suites; any leftovers from a previous run are removed first.
+/// A fresh, empty directory for spill-tier suites under this process's
+/// scratch root, `<TempDir()>/cyclerank_<pid>`: two test processes on one
+/// host (a Release and a sanitizer suite, say) never share a directory,
+/// and the root is removed when the process exits.
 inline std::string FreshSpillDir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("cyclerank_" + name);
+  static const struct ScratchRoot {
+    std::filesystem::path path = std::filesystem::path(::testing::TempDir()) /
+                                 ("cyclerank_" + std::to_string(::getpid()));
+    ~ScratchRoot() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } root;
+  const std::filesystem::path dir = root.path / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

@@ -14,7 +14,8 @@
 #                                         # -Werror=thread-safety, clang-tidy
 #                                         # over src/, tools/lint.py
 #   tools/verify.sh --faults              # fault matrix: ASan+UBSan build,
-#                                         # fault-injection suites swept over
+#                                         # fault-injection suites and the
+#                                         # reader mutation test swept over
 #                                         # CYCLERANK_FAULT_SEED values
 #
 # Environment:
@@ -81,8 +82,9 @@ run_sanitize() {
 run_faults() {
   # The PR-8 fault matrix: build the tests under ASan+UBSan (a torn write
   # or recovery bug should abort loudly, not corrupt quietly), run every
-  # fault-injection suite once, then sweep the randomized-churn tests over
-  # a set of seeds — determinism means any failing seed reproduces exactly.
+  # fault-injection suite once, then sweep the randomized-churn tests and
+  # the reader mutation test over a set of seeds — determinism means any
+  # failing seed reproduces exactly.
   local dir="build-san-address-undefined"
   local seeds=${FAULT_SEEDS:-"1 7 42 1337 9001"}
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}
@@ -91,7 +93,8 @@ run_faults() {
         -DCYCLERANK_BUILD_BENCHMARKS=OFF -DCYCLERANK_BUILD_EXAMPLES=OFF \
         -DCYCLERANK_BUILD_TOOLS=OFF \
         "${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"}"
-  cmake --build "${dir}" -j "${JOBS}" --target common_tests platform_tests
+  cmake --build "${dir}" -j "${JOBS}" \
+        --target common_tests platform_tests graph_tests
   echo "== faults 2/3: fault-injection + env suites" >&2
   "${dir}/common_tests" --gtest_filter='*Env*:*Backoff*'
   "${dir}/platform_tests" --gtest_filter='FaultInjection*:Overload*'
@@ -100,6 +103,9 @@ run_faults() {
     echo "---- CYCLERANK_FAULT_SEED=${seed}" >&2
     CYCLERANK_FAULT_SEED="${seed}" "${dir}/platform_tests" \
       --gtest_filter='FaultInjectionTest.RandomFaultChurnNeverServesWrongBytes:FaultInjectionTest.RandomFaultChurnReplaysIdenticallyPerSeed'
+    # Seeded byte mutations of every reader's golden corpus.
+    CYCLERANK_FAULT_SEED="${seed}" "${dir}/graph_tests" \
+      --gtest_filter='ReaderMutationTest.*'
   done
 }
 
