@@ -441,7 +441,7 @@ TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
   ASSERT_TRUE(server.Start().ok());
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  for (const std::string body :
+  for (const char* body :
        {"4294967294,0\n", "*Vertices 4294967298\n*Arcs\n1 2\n",
         "4294967297 1\n0 1\n"}) {
     const Status refused = client.UploadDataset("huge", body);
