@@ -65,6 +65,61 @@ TEST(CompressBlockTest, RoundTripsOverlappingMatches) {
   EXPECT_EQ(out, raw);
 }
 
+/// An LZ block (mode 1) that declares `raw_size` bytes: `literals`
+/// verbatim, then, when `match_len` is not 0, a copy of `match_len` bytes
+/// from `offset` bytes back, then the end-of-stream mark.
+std::string LzBlock(uint64_t raw_size, const std::string& literals,
+                    uint64_t match_len = 0, uint16_t offset = 0) {
+  std::string block;
+  block.push_back(binio::kBlockLz);
+  binio::AppendVarint(&block, raw_size);
+  binio::AppendVarint(&block, literals.size());
+  block += literals;
+  binio::AppendVarint(&block, match_len);
+  if (match_len != 0) {
+    block.push_back(static_cast<char>(offset & 0xff));
+    block.push_back(static_cast<char>(offset >> 8));
+    binio::AppendVarint(&block, 0);  // no literals
+    binio::AppendVarint(&block, 0);  // end of stream
+  }
+  return block;
+}
+
+TEST(DecompressBlockTest, DecodesStoredBlocks) {
+  // Embedded NULs and high bytes are just bytes; an empty block is fine.
+  for (const std::string& raw :
+       {std::string(), std::string("x"), std::string("\0\xff\0\x80 bytes", 9)}) {
+    std::string block;
+    block.push_back(binio::kBlockStored);
+    binio::AppendVarint(&block, raw.size());
+    block += raw;
+    std::string out = "stale";
+    ASSERT_TRUE(binio::DecompressBlock(block, &out)) << raw;
+    EXPECT_EQ(out, raw);
+  }
+}
+
+TEST(DecompressBlockTest, DecodesLiteralOnlyBlocks) {
+  std::string out;
+  ASSERT_TRUE(binio::DecompressBlock(LzBlock(5, "hello"), &out));
+  EXPECT_EQ(out, "hello");
+  ASSERT_TRUE(binio::DecompressBlock(LzBlock(0, ""), &out));
+  EXPECT_EQ(out, "");
+}
+
+TEST(DecompressBlockTest, DecodesOverlappingMatches) {
+  // A match may overlap its own output (offset < length): RLE-style runs
+  // and repeated periods, the classic LZ decode subtlety.
+  std::string out;
+  ASSERT_TRUE(binio::DecompressBlock(LzBlock(100000, "a", 99999, 1), &out));
+  EXPECT_EQ(out, std::string(100000, 'a'));
+  ASSERT_TRUE(binio::DecompressBlock(LzBlock(12, "abc", 9, 3), &out));
+  EXPECT_EQ(out, "abcabcabcabc");
+  // A match that does not overlap, ending the stream mid-output.
+  ASSERT_TRUE(binio::DecompressBlock(LzBlock(11, "0123456", 4, 7), &out));
+  EXPECT_EQ(out, "01234560123");
+}
+
 TEST(DecompressBlockTest, RejectsCorruptStreams) {
   std::string out;
   // Empty / truncated header.
@@ -76,10 +131,9 @@ TEST(DecompressBlockTest, RejectsCorruptStreams) {
   EXPECT_FALSE(binio::DecompressBlock(bad_mode, &out));
 
   // A valid block truncated anywhere must fail, never crash or misread.
-  std::string raw;
-  for (uint32_t i = 0; i < 1000; ++i) binio::AppendU32(&raw, i / 4);
-  const std::string block = binio::CompressBlock(raw);
-  for (size_t cut = 0; cut < block.size(); cut += 97) {
+  const std::string block = LzBlock(1000, "0123456789", 990, 10);
+  ASSERT_TRUE(binio::DecompressBlock(block, &out));
+  for (size_t cut = 0; cut < block.size(); ++cut) {
     EXPECT_FALSE(binio::DecompressBlock(block.substr(0, cut), &out))
         << "truncated at " << cut;
   }

@@ -24,6 +24,7 @@ namespace cyclerank {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::string_literals;
 
 /// Captures warning+ log lines for the duration of a test.
 class LogCapture {
@@ -446,22 +447,85 @@ TEST(SpillTierCompressionTest, CompressedFilesRoundTripBitIdentically) {
   EXPECT_EQ(loaded.meta, 9u);
 }
 
-TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
-  const std::string dir = FreshSpillDir("cmp_bitrot");
-  SpillTier tier(dir, SpillTierOptions{}, "dataset");
+/// The payload of `kLzFixtureFile`: "0,1,...,36," over and over, 5,458
+/// bytes.
+std::string LzFixturePayload() {
   std::string payload;
-  for (uint32_t i = 0; i < 5000; ++i) payload += "abcdefgh";
-  ASSERT_TRUE(PutAndFlush(tier, "k", payload).ok());
-  // Flip a byte inside the compressed block without changing the size —
-  // either the block fails to decode or the raw checksum mismatches;
-  // both must degrade to a dropped entry, never corrupt output.
-  FlipSpillFileByte(dir, 3);
-  LogCapture log;
-  const Status status = tier.Get("k").status();
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_NE(status.message().find("corrupt"), std::string::npos);
-  EXPECT_FALSE(tier.Contains("k"));
-  EXPECT_EQ(tier.Get("k").status().code(), StatusCode::kNotFound);
+  for (int i = 0; i < 2000; ++i) payload += std::to_string(i % 37) + ",";
+  return payload;
+}
+
+/// A CYSP2 file whose payload is an LZ block, byte for byte as older
+/// versions wrote it for key "golden/key 1", meta 0x0123456789abcdef and
+/// `LzFixturePayload()`. Files like it may still sit in a spill directory
+/// and hold the only copy of an upload, so they must keep loading.
+const std::string kLzFixtureFile =
+    "CYSP2\n"
+    "\xef\xcd\xab\x89\x67\x45\x23\x01"  // meta
+    "\xfa\xab\xc2\x06\x06\x23\x7f\xc8"  // FNV-1a 64 of the raw payload
+    "\x0c\x00\x00\x00\x00\x00\x00\x00"  // key length 12
+    "golden/key 1"
+    "\x52\x15\x00\x00\x00\x00\x00\x00"  // raw payload size 5458
+    "\x6f\x00\x00\x00\x00\x00\x00\x00"  // block length 111
+    "\x01\xd2\x2a"                      // LZ block, raw size 5458
+    "\x65"                               // 101 literals
+    "0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,"
+    "26,27,28,29,30,31,32,33,34,35,36,"
+    "\xed\x29\x65\x00"                  // 5357-byte match at offset 101
+    "\x00\x00"s;                         // no literals, end of stream
+
+/// Places `file` in a fresh tier directory under the name the tier derives
+/// from the fixture's key; returns the directory.
+std::string LzFixtureDir(const std::string& name, const std::string& file) {
+  const std::string dir = FreshSpillDir(name);
+  std::ofstream(fs::path(dir) / "golden%2fkey%201.spill", std::ios::binary)
+      << file;
+  return dir;
+}
+
+TEST(SpillTierCompressionTest, LzBlockFilesStillLoad) {
+  ASSERT_EQ(kLzFixtureFile.size(), 169u);
+  ASSERT_EQ(binio::Fnv1a64(kLzFixtureFile), 0x0e32c2a6e5eee219ull);
+  const std::string dir = LzFixtureDir("format_v2_lz", kLzFixtureFile);
+  for (int open = 0; open < 2; ++open) {  // a restart reads it again
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
+    const SpillTierStats stats = tier.stats();
+    EXPECT_EQ(stats.recovered_files, 1u);
+    EXPECT_EQ(stats.skipped_corrupt_files, 0u);
+    EXPECT_EQ(stats.bytes, 169u);
+    EXPECT_EQ(stats.raw_bytes, LzFixturePayload().size());
+    EXPECT_EQ(tier.Meta("golden/key 1"), 0x0123456789abcdefull);
+    const SpillTier::Loaded loaded = tier.Get("golden/key 1").value();
+    EXPECT_EQ(loaded.payload, LzFixturePayload());
+    EXPECT_EQ(loaded.meta, 0x0123456789abcdefull);
+  }
+}
+
+TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
+  // One flipped byte inside the LZ block, the size unchanged: a literal
+  // decodes to the wrong bytes and fails the raw checksum, a match offset
+  // reaching before the output fails to decode. Both drop the entry,
+  // never hand out corrupt bytes.
+  const struct {
+    size_t from_end;
+    const char* why;
+  } flips[] = {{10, "checksum"}, {3, "does not decode"}};
+  for (const auto& flip : flips) {
+    SCOPED_TRACE(flip.why);
+    std::string rotten = kLzFixtureFile;
+    rotten[rotten.size() - flip.from_end] ^= 0xff;
+    const std::string dir = LzFixtureDir("cmp_bitrot", rotten);
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
+    EXPECT_EQ(tier.stats().recovered_files, 1u);  // the header is intact
+    LogCapture log;
+    const Status status = tier.Get("golden/key 1").status();
+    EXPECT_EQ(status.code(), StatusCode::kIOError);
+    EXPECT_NE(status.message().find("corrupt"), std::string::npos);
+    EXPECT_TRUE(log.Contains(flip.why));
+    EXPECT_FALSE(tier.Contains("golden/key 1"));
+    EXPECT_EQ(tier.Get("golden/key 1").status().code(), StatusCode::kNotFound);
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "golden%2fkey%201.spill"));
+  }
 }
 
 TEST(SpillTierCompressionTest, V2FileBytesArePinned) {
