@@ -194,17 +194,12 @@ inline uint64_t Fnv1a64(std::string_view data) {
 }
 
 // -------------------------------------------------------------------------
-// Block compression — the spill tier's payload codec (PR 6).
+// Block decoding — the payload framing of CYSP2 spill files.
 //
-// A small, dependency-free LZ77 scheme in the LZ4 spirit: greedy
-// hash-table matching over a 64 KiB window, byte-oriented output. It only
-// wins on literal repeats of 4+ bytes, which a serialized CSR graph has
-// few of: neighbour ids differ in their low bytes even when sorted. On
-// the bench graph `BenchGraph(10000, 1)` (bench/perf_datastore.cc,
-// `BM_SpillTier_CompressedRoundTrip`) it stores 870,471 of 990,418 raw
-// bytes, 12% saved. Incompressible input falls back to a stored block, so
-// `DecompressBlock(CompressBlock(x)) == x` for every input and the
-// encoded form is never much larger than the raw bytes.
+// Writers store every payload verbatim (mode 0). Older versions also wrote
+// LZ blocks (mode 1) from a small LZ77 encoder that saved about 9% of disk
+// bytes on serialized graphs; it was deleted, but files holding such
+// blocks may still be the only copy of an upload, so the decoder stays.
 //
 // Block layout:
 //   mode byte            0 = stored, 1 = LZ
@@ -219,71 +214,10 @@ inline uint64_t Fnv1a64(std::string_view data) {
 // never an overrun or an allocation bomb.
 // -------------------------------------------------------------------------
 
-namespace compress_internal {
-inline uint32_t Load32(const char* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-}  // namespace compress_internal
-
 inline constexpr char kBlockStored = 0;
 inline constexpr char kBlockLz = 1;
 
-inline std::string CompressBlock(std::string_view raw) {
-  std::string stored;
-  stored.reserve(raw.size() + 10);
-  stored.push_back(kBlockStored);
-  AppendVarint(&stored, raw.size());
-  stored.append(raw.data(), raw.size());
-  // Too small for matches to pay off, or too large for the 32-bit match
-  // positions — either way the stored block is the right answer.
-  if (raw.size() < 32 || raw.size() > 0xffffffffu) return stored;
-
-  std::string lz;
-  lz.reserve(raw.size() / 2 + 16);
-  lz.push_back(kBlockLz);
-  AppendVarint(&lz, raw.size());
-  constexpr size_t kHashBits = 15;
-  std::vector<uint32_t> table(size_t{1} << kHashBits, 0xffffffffu);
-  const char* base = raw.data();
-  const size_t n = raw.size();
-  // Stop matching with a 12-byte tail margin: room for the 4-byte load
-  // plus a final literal run, mirroring the classic LZ4 bound.
-  const size_t limit = n - 12;
-  size_t pos = 0;
-  size_t anchor = 0;
-  while (pos < limit) {
-    const uint32_t v = compress_internal::Load32(base + pos);
-    const uint32_t h = (v * 2654435761u) >> (32 - kHashBits);
-    const uint32_t cand = table[h];
-    table[h] = static_cast<uint32_t>(pos);
-    if (cand == 0xffffffffu || pos - cand > 0xffff ||
-        compress_internal::Load32(base + cand) != v) {
-      ++pos;
-      continue;
-    }
-    size_t match_len = 4;
-    while (pos + match_len < n && base[cand + match_len] == base[pos + match_len]) {
-      ++match_len;
-    }
-    AppendVarint(&lz, pos - anchor);
-    lz.append(base + anchor, pos - anchor);
-    AppendVarint(&lz, match_len);
-    const uint32_t offset = static_cast<uint32_t>(pos - cand);
-    lz.push_back(static_cast<char>(offset & 0xff));
-    lz.push_back(static_cast<char>(offset >> 8));
-    pos += match_len;
-    anchor = pos;
-    if (lz.size() + 16 >= stored.size()) return stored;  // not compressing
-  }
-  AppendVarint(&lz, n - anchor);
-  lz.append(base + anchor, n - anchor);
-  AppendVarint(&lz, 0);  // end of stream
-  return lz.size() < stored.size() ? lz : stored;
-}
-
-/// Decodes a `CompressBlock` buffer into `*out` (overwritten). Returns
+/// Decodes a block into `*out` (overwritten). Returns
 /// false on any truncation, bad length, or bad offset.
 inline bool DecompressBlock(std::string_view block, std::string* out) {
   out->clear();

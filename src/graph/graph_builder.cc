@@ -4,6 +4,8 @@
 #include <numeric>
 #include <string>
 
+#include "common/strings.h"
+
 namespace cyclerank {
 namespace {
 
@@ -66,6 +68,15 @@ Status GraphBuildOptions::CheckNodes(uint64_t nodes,
                                  std::to_string(nodes) +
                                  " nodes exceed the node ceiling of " +
                                  std::to_string(ceiling));
+}
+
+Result<int64_t> ParseLineInt64(std::string_view format, size_t line_no,
+                               std::string_view token) {
+  Result<int64_t> value = ParseInt64(token);
+  if (value.ok()) return value;
+  return Status::ParseError(std::string(format) + " line " +
+                            std::to_string(line_no) + ": invalid integer '" +
+                            std::string(token) + "'");
 }
 
 void GraphBuilder::ReserveNodes(NodeId n) {

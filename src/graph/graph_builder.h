@@ -35,6 +35,11 @@ struct GraphBuildOptions {
   Status CheckNodes(uint64_t nodes, std::string_view what) const;
 };
 
+/// Parses the integer `token` read on line `line_no` of a `format` file;
+/// otherwise a ParseError "<format> line <n>: invalid integer '<token>'".
+Result<int64_t> ParseLineInt64(std::string_view format, size_t line_no,
+                               std::string_view token);
+
 /// Accumulates edges and produces an immutable CSR `Graph`.
 ///
 /// Two usage styles, which may be mixed only in the sense that labeled

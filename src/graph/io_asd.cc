@@ -12,6 +12,9 @@ Result<Graph> ReadAsd(std::string_view content,
   GraphBuilder builder;
   int64_t n = -1, m = 0, read = 0;  // n is -1 until the header is read
   size_t line_no = 0;
+  const auto parse = [&](std::string_view token) {
+    return ParseLineInt64("asd", line_no, token);
+  };
   while (!content.empty()) {
     ++line_no;
     const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
@@ -22,8 +25,8 @@ Result<Graph> ReadAsd(std::string_view content,
         return Status::ParseError("asd line " + std::to_string(line_no) +
                                   ": header must be 'N M'");
       }
-      CYCLERANK_ASSIGN_OR_RETURN(n, ParseInt64(tokens[0]));
-      CYCLERANK_ASSIGN_OR_RETURN(m, ParseInt64(tokens[1]));
+      CYCLERANK_ASSIGN_OR_RETURN(n, parse(tokens[0]));
+      CYCLERANK_ASSIGN_OR_RETURN(m, parse(tokens[1]));
       if (n < 0 || m < 0) {
         return Status::ParseError("asd: negative count in header");
       }
@@ -40,8 +43,8 @@ Result<Graph> ReadAsd(std::string_view content,
       return Status::ParseError("asd line " + std::to_string(line_no) +
                                 ": expected 'u v'");
     }
-    CYCLERANK_ASSIGN_OR_RETURN(int64_t u, ParseInt64(tokens[0]));
-    CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tokens[1]));
+    CYCLERANK_ASSIGN_OR_RETURN(int64_t u, parse(tokens[0]));
+    CYCLERANK_ASSIGN_OR_RETURN(int64_t v, parse(tokens[1]));
     if (u < 0 || v < 0 || u >= n || v >= n) {
       return Status::ParseError("asd line " + std::to_string(line_no) +
                                 ": endpoint out of range [0, " +

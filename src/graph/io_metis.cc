@@ -14,6 +14,9 @@ Result<Graph> ReadMetis(std::string_view content,
   int64_t row = 0;         // adjacency rows read so far
   uint64_t listed = 0;
   size_t line_no = 0;
+  const auto parse = [&](std::string_view token) {
+    return ParseLineInt64("metis", line_no, token);
+  };
   while (!content.empty()) {
     ++line_no;
     const std::string_view line = StripAsciiWhitespace(ConsumeLine(&content));
@@ -29,8 +32,8 @@ Result<Graph> ReadMetis(std::string_view content,
             "metis: weighted graphs (fmt/ncon header fields) are not "
             "supported");
       }
-      CYCLERANK_ASSIGN_OR_RETURN(n, ParseInt64(header[0]));
-      CYCLERANK_ASSIGN_OR_RETURN(m, ParseInt64(header[1]));
+      CYCLERANK_ASSIGN_OR_RETURN(n, parse(header[0]));
+      CYCLERANK_ASSIGN_OR_RETURN(m, parse(header[1]));
       if (n < 0 || m < 0) {
         return Status::ParseError("metis: negative count in header");
       }
@@ -44,7 +47,7 @@ Result<Graph> ReadMetis(std::string_view content,
                                 std::to_string(line_no));
     }
     for (std::string_view token : SplitWhitespace(line)) {
-      CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(token));
+      CYCLERANK_ASSIGN_OR_RETURN(int64_t v, parse(token));
       if (v < 1 || v > n) {
         return Status::ParseError("metis line " + std::to_string(line_no) +
                                   ": neighbour " + std::to_string(v) +

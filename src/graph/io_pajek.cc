@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -35,15 +36,22 @@ Result<Graph> ReadPajek(std::string_view content,
   GraphBuilder builder;
   Section section = Section::kNone;
   int64_t declared_vertices = -1;
+  int64_t max_endpoint = 0;  // largest vertex number an arc has named
   // Views into `content` by vertex, empty = unlabeled; sized to the
   // declared count by the first label.
   std::vector<std::string_view> labels;
   bool any_label = false;
   size_t line_no = 0;
-  // Adds the edge between 1-based vertex numbers, refusing a number past
-  // the ceiling (the NodeId cast would wrap it).
+  const auto parse = [&](std::string_view token) {
+    return ParseLineInt64("pajek", line_no, token);
+  };
+  // Adds the edge between 1-based vertex numbers, both within
+  // `*Vertices`: the graph never has more nodes than the file declares.
   const auto add_edge = [&](int64_t u, int64_t v) -> Status {
-    CYCLERANK_RETURN_NOT_OK(build.CheckNodes(std::max(u, v), "pajek edge"));
+    if (u < 1 || v < 1 || u > declared_vertices || v > declared_vertices) {
+      return BadLine(line_no, "endpoint out of range");
+    }
+    max_endpoint = std::max({max_endpoint, u, v});
     builder.AddEdge(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1));
     if (section == Section::kEdges || section == Section::kEdgesList) {
       builder.AddEdge(static_cast<NodeId>(v - 1), static_cast<NodeId>(u - 1));
@@ -65,15 +73,24 @@ Result<Graph> ReadPajek(std::string_view content,
         if (tokens.size() < 2) {
           return BadLine(line_no, "*Vertices requires a count");
         }
-        CYCLERANK_ASSIGN_OR_RETURN(declared_vertices, ParseInt64(tokens[1]));
+        CYCLERANK_ASSIGN_OR_RETURN(declared_vertices, parse(tokens[1]));
         if (declared_vertices < 0) {
           return BadLine(line_no, "negative vertex count");
+        }
+        if (declared_vertices < max_endpoint) {
+          return BadLine(line_no, "*Vertices " +
+                                      std::to_string(declared_vertices) +
+                                      " is below vertex " +
+                                      std::to_string(max_endpoint) +
+                                      " of an earlier arc");
         }
         CYCLERANK_RETURN_NOT_OK(
             build.CheckNodes(declared_vertices, "pajek *Vertices"));
         labels.clear();
         section = Section::kVertices;
-      } else if (head == "arcs") {
+        continue;
+      }
+      if (head == "arcs") {
         section = Section::kArcs;
       } else if (head == "edges") {
         section = Section::kEdges;
@@ -84,6 +101,10 @@ Result<Graph> ReadPajek(std::string_view content,
       } else {
         return BadLine(line_no, "unknown section '*" + std::string(head) + "'");
       }
+      if (declared_vertices < 0) {
+        return BadLine(line_no, "'*" + std::string(head) +
+                                    "' section before *Vertices");
+      }
       continue;
     }
 
@@ -92,7 +113,7 @@ Result<Graph> ReadPajek(std::string_view content,
       case Section::kNone:
         return BadLine(line_no, "data before any section header");
       case Section::kVertices: {
-        CYCLERANK_ASSIGN_OR_RETURN(int64_t idx, ParseInt64(tokens[0]));
+        CYCLERANK_ASSIGN_OR_RETURN(int64_t idx, parse(tokens[0]));
         if (idx < 1 || idx > declared_vertices) {
           return BadLine(line_no, "vertex id out of range");
         }
@@ -107,24 +128,17 @@ Result<Graph> ReadPajek(std::string_view content,
       case Section::kArcs:
       case Section::kEdges: {
         if (tokens.size() < 2) return BadLine(line_no, "expected 'u v'");
-        CYCLERANK_ASSIGN_OR_RETURN(int64_t u, ParseInt64(tokens[0]));
-        CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tokens[1]));
-        if (u < 1 || v < 1 ||
-            (declared_vertices >= 0 &&
-             (u > declared_vertices || v > declared_vertices))) {
-          return BadLine(line_no, "endpoint out of range");
-        }
+        CYCLERANK_ASSIGN_OR_RETURN(int64_t u, parse(tokens[0]));
+        CYCLERANK_ASSIGN_OR_RETURN(int64_t v, parse(tokens[1]));
         CYCLERANK_RETURN_NOT_OK(add_edge(u, v));
         break;
       }
       case Section::kArcsList:
       case Section::kEdgesList: {
         if (tokens.size() < 2) return BadLine(line_no, "expected 'u v...'");
-        CYCLERANK_ASSIGN_OR_RETURN(int64_t u, ParseInt64(tokens[0]));
-        if (u < 1) return BadLine(line_no, "endpoint out of range");
+        CYCLERANK_ASSIGN_OR_RETURN(int64_t u, parse(tokens[0]));
         for (size_t i = 1; i < tokens.size(); ++i) {
-          CYCLERANK_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tokens[i]));
-          if (v < 1) return BadLine(line_no, "endpoint out of range");
+          CYCLERANK_ASSIGN_OR_RETURN(int64_t v, parse(tokens[i]));
           CYCLERANK_RETURN_NOT_OK(add_edge(u, v));
         }
         break;
@@ -139,11 +153,23 @@ Result<Graph> ReadPajek(std::string_view content,
   if (any_label) {
     // Vertex i-1 must get id i-1, and AddNode numbers labels densely in
     // first-registration order, so register them in vertex order (a
-    // synthetic name for an unlabeled vertex) before the single Build.
+    // synthetic name for an unlabeled vertex) before the single Build. A
+    // name given twice would shift every later vertex by one id.
     labels.resize(static_cast<size_t>(declared_vertices));
     for (size_t i = 0; i < labels.size(); ++i) {
-      builder.AddNode(labels[i].empty() ? "v" + std::to_string(i + 1)
-                                        : std::string(labels[i]));
+      const std::string name = labels[i].empty() ? "v" + std::to_string(i + 1)
+                                                 : std::string(labels[i]);
+      const NodeId first = builder.AddNode(name);
+      if (first == i) continue;
+      std::string labeled = std::to_string(first + 1);
+      std::string other = std::to_string(i + 1);
+      if (labels[first].empty()) std::swap(labeled, other);
+      return Status::ParseError(
+          labels[i].empty() || labels[first].empty()
+              ? "pajek: vertex " + labeled + "'s label '" + name +
+                    "' is the synthetic name of unlabeled vertex " + other
+              : "pajek: vertices " + labeled + " and " + other +
+                    " share the label '" + name + "'");
     }
   }
   return builder.Build(build);

@@ -18,24 +18,27 @@ namespace {
 
 /// Spill file layouts (all integers little-endian).
 ///
-/// v1 (uncompressed — no longer written, but read forever: a spill
-/// directory from an older process may hold the only copy of an upload):
+/// v1 (unframed — no longer written, but read forever: a spill directory
+/// from an older process may hold the only copy of an upload):
 ///   magic "CYSP1\n"                        6 bytes
 ///   meta word (opaque to the tier)         u64
 ///   FNV-1a 64 checksum of the payload      u64
 ///   original key                           u64 length + bytes
 ///   payload                                u64 length + bytes
 ///
-/// v2 (compressed; the only format written): checksum-then-compress
-/// — the checksum is still computed over the *raw* payload, so bit-rot
-/// detection is identical to v1, and the raw size travels in the header so
-/// recovery can account uncompressed bytes without decoding anything:
+/// v2 (the only format written): the payload travels as a `binio` block
+/// and the checksum covers the *raw* payload, so bit-rot detection is
+/// identical to v1; the raw size travels in the header so recovery can
+/// account payload bytes without decoding anything. Writers store the
+/// payload verbatim (mode 0); older versions also wrote LZ blocks (mode 1),
+/// which `binio::DecompressBlock` still reads:
 ///   magic "CYSP2\n"                        6 bytes
 ///   meta word                              u64
 ///   FNV-1a 64 checksum of the RAW payload  u64
 ///   original key                           u64 length + bytes
 ///   raw payload size                       u64
-///   binio::CompressBlock(payload)          u64 length + bytes
+///   block (mode byte, varint raw size,     u64 length + bytes
+///   body)
 ///
 /// The key is stored *in* the file, so recovery never has to invert the
 /// filename encoding, and a renamed file still identifies itself.
@@ -97,11 +100,11 @@ std::string SpillFileName(const std::string& key) {
 
 /// A spill file's header: every field but the payload bytes.
 struct SpillFileHeader {
-  bool compressed = false;  ///< v2 (block-compressed body) vs v1
+  bool v2 = false;          ///< v2 (block body) vs v1 (raw body)
   uint64_t meta = 0;
   uint64_t checksum = 0;    ///< FNV-1a 64 of the raw payload
   std::string key;
-  uint64_t raw_bytes = 0;   ///< uncompressed payload size
+  uint64_t raw_bytes = 0;   ///< decoded payload size
   uint64_t file_bytes = 0;  ///< size of the whole file
   size_t body_offset = 0;   ///< start of the payload (v1) or block (v2)
 };
@@ -133,7 +136,7 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   SpillFileHeader header;
   header.file_bytes = file_bytes;
   if (magic == kSpillMagicV2) {
-    header.compressed = true;
+    header.v2 = true;
   } else if (magic != kSpillMagicV1) {
     *why = "bad magic";
     return std::nullopt;
@@ -150,7 +153,7 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   // v1 carries one length word after the key (payload), v2 two (raw size
   // + encoded block length).
   header.body_offset = key_offset + static_cast<size_t>(key_len) +
-                       (header.compressed ? 16 : 8);
+                       (header.v2 ? 16 : 8);
   Result<std::string> head = read_prefix(header.body_offset);
   if (!head.ok()) {
     *why = "unreadable (" + head.status().message() + ")";
@@ -164,9 +167,9 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   binio::Reader tail_reader(std::string_view(*head).substr(
       key_offset + static_cast<size_t>(key_len)));
   uint64_t body_len = 0;
-  if (header.compressed) (void)tail_reader.ReadU64(&header.raw_bytes);
+  if (header.v2) (void)tail_reader.ReadU64(&header.raw_bytes);
   (void)tail_reader.ReadU64(&body_len);
-  if (!header.compressed) header.raw_bytes = body_len;
+  if (!header.v2) header.raw_bytes = body_len;
   if (body_len != file_bytes - header.body_offset) {
     *why = "payload length disagrees with the file size (truncated write?)";
     return std::nullopt;
@@ -174,18 +177,23 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   return header;
 }
 
-/// The on-disk image of one entry: the v2 header + the compressed payload.
+/// The on-disk image of one entry: the v2 header + the payload as a stored
+/// block.
 std::string EncodeSpillFile(const std::string& key, std::string_view raw,
                             uint64_t meta) {
-  const std::string encoded = binio::CompressBlock(raw);
+  std::string block_head(1, binio::kBlockStored);
+  binio::AppendVarint(&block_head, raw.size());
   std::string file;
-  file.reserve(kFixedHeaderBytes + 32 + key.size() + encoded.size());
+  file.reserve(kFixedHeaderBytes + 24 + key.size() + block_head.size() +
+               raw.size());
   file.append(kSpillMagicV2);
   binio::AppendU64(&file, meta);
   binio::AppendU64(&file, binio::Fnv1a64(raw));
   binio::AppendString(&file, key);
   binio::AppendU64(&file, raw.size());
-  binio::AppendString(&file, encoded);
+  binio::AppendU64(&file, block_head.size() + raw.size());
+  file.append(block_head);
+  file.append(raw);
   return file;
 }
 
@@ -305,7 +313,6 @@ void SpillTier::RecoverLocked() {
     lru_.Insert(info.key, Info{info.meta, info.raw_bytes},
                 static_cast<size_t>(info.file_bytes));
     raw_bytes_ += info.raw_bytes;
-    FilterAdd(info.key);
     ++stats_.recovered_files;
   }
   if (stats_.recovered_files != 0 || stats_.skipped_corrupt_files != 0) {
@@ -335,7 +342,6 @@ Status SpillTier::Put(const std::string& key, SpillPayloadPtr payload,
     // "stored and dropped" — unless an older spill of it is still live,
     // in which case that one remains the last durable value.
     MutexLock lock(mu_);
-    FilterAdd(key);
     if (!lru_.Contains(key)) {
       pruned_.Mark(key);
       pruned_.Bound(kMaxPrunedMarkers);
@@ -361,11 +367,6 @@ Status SpillTier::Put(const std::string& key, SpillPayloadPtr payload,
                pending_bytes_ + approx <= options_.write_behind_bytes;
       });
     }
-    // Add to the filter *before* publishing the entry: releasing
-    // buffer_mu_ then orders this relaxed store before any reader that
-    // synchronizes with the insert, so a filter miss can never hide an
-    // entry such a reader is entitled to see.
-    FilterAdd(key);
     auto [it, inserted] = pending_.try_emplace(key);
     if (!inserted) pending_bytes_ -= it->second.approx_bytes;
     it->second.payload = std::move(payload);
@@ -417,7 +418,7 @@ void SpillTier::FlushWorker() {
       seq = it->second.seq;
       flushing_ = true;
     }
-    // Serialize + compress + write with no lock held — this is the whole
+    // Serialize + encode + write with no lock held — this is the whole
     // point of the write-behind tier.
     FlushOne(key, payload, meta, seq);
     {
@@ -631,14 +632,6 @@ std::optional<ByteBudgetedLru<SpillTier::Info>::Entry> SpillTier::UnindexLocked(
 }
 
 Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
-  // The filter is the fast path for "never stored": no lock, no disk.
-  // Pruned and corrupt-dropped keys were once stored, so their bits are
-  // set and they fall through to the exact answer below.
-  if (!FilterMayContain(key)) {
-    filter_negatives_.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("spill tier (" + what_ + "): no spill file for '" +
-                            key + "'");
-  }
   SpillPayloadPtr buffered;
   uint64_t buffered_meta = 0;
   {
@@ -684,7 +677,7 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
     return read;
   }
   // Re-validate everything before trusting the bytes: magic, the embedded
-  // key, the compressed framing, and the payload checksum. Any mismatch
+  // key, the block framing, and the payload checksum. Any mismatch
   // means bit rot or a torn write — drop the entry with a warning instead
   // of handing corrupt bytes to a codec.
   const auto corrupt = [&](const std::string& why) CYR_REQUIRES(mu_) -> Status {
@@ -710,11 +703,11 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
       std::string_view(file).substr(header->body_offset);
   Loaded loaded;
   loaded.meta = header->meta;
-  if (!header->compressed) {
+  if (!header->v2) {
     loaded.payload.assign(body);
   } else if (!binio::DecompressBlock(body, &loaded.payload) ||
              loaded.payload.size() != header->raw_bytes) {
-    return corrupt("compressed payload does not decode");
+    return corrupt("payload block does not decode");
   }
   if (binio::Fnv1a64(loaded.payload) != header->checksum) {
     return corrupt("payload checksum mismatch");
@@ -724,10 +717,6 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
 }
 
 bool SpillTier::Contains(const std::string& key) const {
-  if (!FilterMayContain(key)) {
-    filter_negatives_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   MutexLock buffer_lock(buffer_mu_);
   if (pending_.count(key) != 0) return true;
   MutexLock lock(mu_);
@@ -735,7 +724,6 @@ bool SpillTier::Contains(const std::string& key) const {
 }
 
 std::optional<uint64_t> SpillTier::Meta(const std::string& key) const {
-  if (!FilterMayContain(key)) return std::nullopt;
   MutexLock buffer_lock(buffer_mu_);
   if (auto it = pending_.find(key); it != pending_.end()) {
     return it->second.meta;
@@ -827,8 +815,6 @@ SpillTierStats SpillTier::stats() const {
   snapshot.buffer_bytes = pending_bytes_;
   snapshot.backpressure_waits = backpressure_waits_;
   snapshot.buffer_hits = buffer_hits_.load(std::memory_order_relaxed);
-  snapshot.filter_negatives =
-      filter_negatives_.load(std::memory_order_relaxed);
   {
     MutexLock breaker_lock(breaker_mu_);
     snapshot.retries = retries_;
@@ -865,40 +851,6 @@ void SpillTier::RemoveFileLocked(const std::string& key) {
 
 std::string SpillTier::FilePath(const std::string& key) const {
   return dir_ + "/" + SpillFileName(key);
-}
-
-void SpillTier::FilterAdd(const std::string& key) {
-  const uint64_t h1 = binio::Fnv1a64(key);
-  // splitmix64 finalizer: a second, independent probe from the same hash.
-  uint64_t h2 = h1;
-  h2 ^= h2 >> 30;
-  h2 *= 0xbf58476d1ce4e5b9ull;
-  h2 ^= h2 >> 27;
-  h2 *= 0x94d049bb133111ebull;
-  h2 ^= h2 >> 31;
-  for (const uint64_t h : {h1, h2}) {
-    const size_t bit = static_cast<size_t>(h) & (kFilterWords * 64 - 1);
-    filter_[bit >> 6].fetch_or(uint64_t{1} << (bit & 63),
-                               std::memory_order_relaxed);
-  }
-}
-
-bool SpillTier::FilterMayContain(const std::string& key) const {
-  const uint64_t h1 = binio::Fnv1a64(key);
-  uint64_t h2 = h1;
-  h2 ^= h2 >> 30;
-  h2 *= 0xbf58476d1ce4e5b9ull;
-  h2 ^= h2 >> 27;
-  h2 *= 0x94d049bb133111ebull;
-  h2 ^= h2 >> 31;
-  for (const uint64_t h : {h1, h2}) {
-    const size_t bit = static_cast<size_t>(h) & (kFilterWords * 64 - 1);
-    if ((filter_[bit >> 6].load(std::memory_order_relaxed) &
-         (uint64_t{1} << (bit & 63))) == 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace cyclerank

@@ -1,7 +1,6 @@
 #ifndef CYCLERANK_PLATFORM_SPILL_TIER_H_
 #define CYCLERANK_PLATFORM_SPILL_TIER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -34,9 +33,7 @@ struct SpillTierStats {
   uint64_t reloads = 0;  ///< `Get` calls served from disk
   uint64_t buffer_hits = 0;  ///< `Get` calls served from the write-behind
                              ///< buffer before the entry reached disk
-  uint64_t misses = 0;   ///< `Get` calls with no spill file (filter-positive)
-  uint64_t filter_negatives = 0;  ///< `Get`/`Contains` misses answered by the
-                                  ///< key filter alone — no lock, no disk
+  uint64_t misses = 0;   ///< `Get` calls with no spill file or buffered write
   uint64_t backpressure_waits = 0;  ///< `Put` calls that blocked on the
                                     ///< write-behind byte bound
   uint64_t prunes = 0;   ///< entries dropped to respect the disk budget
@@ -53,8 +50,8 @@ struct SpillTierStats {
                                  ///< reached disk (marked pruned)
   bool breaker_open = false;  ///< tier currently degraded to memory-only
   size_t entries = 0;    ///< live spilled entries (on disk)
-  size_t bytes = 0;      ///< on-disk (encoded) bytes of live entries
-  size_t raw_bytes = 0;  ///< uncompressed payload bytes of live entries
+  size_t bytes = 0;      ///< on-disk file bytes of live entries
+  size_t raw_bytes = 0;  ///< payload bytes of live entries (decoded)
   size_t queue_depth = 0;   ///< entries waiting in the write-behind buffer
   size_t buffer_bytes = 0;  ///< approximate bytes held by the buffer
 };
@@ -67,7 +64,7 @@ struct SpillTierOptions {
 
   /// Byte bound of the in-memory write-behind buffer. `Put` enqueues the
   /// still-live payload and returns; a dedicated background thread does
-  /// the serialize/compress/write off the caller's lock. Past the bound,
+  /// the serialize/encode/write off the caller's lock. Past the bound,
   /// `Put` blocks until the flusher drains (backpressure) — the buffer can
   /// never grow without limit. A payload larger than the bound is admitted
   /// alone.
@@ -120,8 +117,8 @@ void RemoveSpillLeftover(Env* env, const std::string& path);
 /// Since PR 6 the tier is structured along LSM lines:
 ///
 ///   Put ──▶ write-behind buffer ──(background flush thread)──▶ disk file
-///            (read-your-write)      serialize → compress →
-///                                   checksum → tmp → rename
+///            (read-your-write)      serialize → checksum →
+///                                   tmp → rename
 ///
 /// - **Write-behind** (the only `Put` path): `Put` enqueues the still-live
 ///   payload and returns — eviction never pays for serialization and file
@@ -131,17 +128,15 @@ void RemoveSpillLeftover(Env* env, const std::string& path);
 ///   and `Flush()` is the durability barrier: an entry is on disk once
 ///   `Put` and a later `Flush()` both returned OK. Past the
 ///   `write_behind_bytes` bound `Put` blocks until the flusher catches up.
-/// - **Compression**: every file is written block-compressed (v2 framing,
-///   `binio::CompressBlock`) with the checksum still computed over the
-///   *raw* payload — bit-rot detection is unchanged, and a corrupt
-///   compressed block degrades to a miss exactly like a checksum mismatch.
-///   v1 (uncompressed) files are no longer written but load transparently
-///   forever.
-/// - **Key filter**: a lock-free Bloom filter over every key ever stored
-///   (rebuilt from the recovery scan at construction) answers "definitely
-///   not on disk" without taking the tier lock or touching the filesystem
-///   — cold misses cost two hash probes, even while a flush or reload is
-///   holding the lock for file IO.
+/// - **Stored blocks**: every file is written in the v2 framing with the
+///   payload as a stored block (`binio` mode 0) and the checksum computed
+///   over the raw payload. Older versions wrote LZ blocks; those files and
+///   v1 (unframed) files are no longer written but load forever, and a
+///   block that does not decode degrades to a miss exactly like a checksum
+///   mismatch.
+/// - **Misses**: `Get`, `Contains` and `Meta` answer a key that was never
+///   stored from the write-behind buffer and the index, without touching
+///   the filesystem.
 ///
 /// **Failure handling** (PR 8): every disk operation goes through the
 /// tier's `Env`. Data reads and writes run under a deterministic
@@ -179,8 +174,7 @@ void RemoveSpillLeftover(Env* env, const std::string& path);
 ///
 /// Thread-safe. Two locks: `buffer_mu_` guards the write-behind buffer,
 /// `mu_` guards the disk index; the fixed acquisition order is
-/// `buffer_mu_` then `mu_` (never the reverse), and the Bloom filter is
-/// read and written lock-free.
+/// `buffer_mu_` then `mu_` (never the reverse).
 class SpillTier {
  public:
   /// Bound on remembered pruned keys, mirroring
@@ -229,9 +223,8 @@ class SpillTier {
   /// file that cannot be *read* (transient disk error) is retried and, if
   /// still failing, reported `kIOError`/`kUnavailable` with the entry left
   /// intact — a flaky disk must not destroy data that is fine. A pruned
-  /// key answers `kExpired`; an unknown key `kNotFound` — answered by the
-  /// lock-free key filter when the key was never stored, without touching
-  /// the tier lock or the filesystem.
+  /// key answers `kExpired`; an unknown key `kNotFound`, from the buffer and
+  /// the index alone, without touching the filesystem.
   Result<Loaded> Get(const std::string& key)
       CYR_EXCLUDES(buffer_mu_, mu_);
 
@@ -277,12 +270,11 @@ class SpillTier {
 
   SpillTierStats stats() const CYR_EXCLUDES(buffer_mu_, mu_);
   size_t max_bytes() const { return options_.max_bytes; }
-  const std::string& dir() const { return dir_; }
 
  private:
   struct Info {
     uint64_t meta = 0;
-    uint64_t raw_bytes = 0;  ///< uncompressed payload size
+    uint64_t raw_bytes = 0;  ///< decoded payload size
   };
 
   /// One write awaiting flush. The entry stays in `pending_` (readable)
@@ -363,20 +355,12 @@ class SpillTier {
 
   std::string FilePath(const std::string& key) const;
 
-  // Lock-free Bloom filter over every key ever stored (never removed —
-  // stale positives fall through to the exact index, which is correct).
-  static constexpr size_t kFilterWords = 1024;  // 64 Kbit, 8 KiB
-  void FilterAdd(const std::string& key);
-  bool FilterMayContain(const std::string& key) const;
-
   const std::string dir_;
   const SpillTierOptions options_;
   const std::string what_;  ///< payload kind for errors/logs
   Env* const env_;          ///< options_.env or Env::Default(); never null
   bool enabled_ = false;    ///< set once in the constructor, then read-only
 
-  std::array<std::atomic<uint64_t>, kFilterWords> filter_{};
-  mutable std::atomic<uint64_t> filter_negatives_{0};
   std::atomic<uint64_t> buffer_hits_{0};
 
   // Write-behind buffer state; guarded by buffer_mu_.

@@ -1,69 +1,12 @@
 #include "common/binary_io.h"
 
 #include <cstdint>
-#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
 
 namespace cyclerank {
 namespace {
-
-std::string RoundTrip(const std::string& raw) {
-  const std::string block = binio::CompressBlock(raw);
-  std::string out;
-  EXPECT_TRUE(binio::DecompressBlock(block, &out));
-  return out;
-}
-
-TEST(CompressBlockTest, RoundTripsEmptyAndTinyInputs) {
-  EXPECT_EQ(RoundTrip(""), "");
-  EXPECT_EQ(RoundTrip("x"), "x");
-  EXPECT_EQ(RoundTrip("short"), "short");
-  // Embedded NULs and high bytes are just bytes.
-  const std::string binary("\0\xff\0\x80 bytes", 9);
-  EXPECT_EQ(RoundTrip(binary), binary);
-}
-
-TEST(CompressBlockTest, RoundTripsAndShrinksRepetitiveInput) {
-  // The shape the spill tier actually stores: long runs of near-identical
-  // little-endian words (CSR offsets, score vectors).
-  std::string raw;
-  for (uint32_t i = 0; i < 20000; ++i) {
-    binio::AppendU32(&raw, i / 8);
-  }
-  const std::string block = binio::CompressBlock(raw);
-  EXPECT_LT(block.size(), raw.size() / 2) << "CSR-like data must compress";
-  std::string out;
-  ASSERT_TRUE(binio::DecompressBlock(block, &out));
-  EXPECT_EQ(out, raw);
-}
-
-TEST(CompressBlockTest, IncompressibleInputFallsBackToStoredBlock) {
-  std::mt19937_64 rng(42);
-  std::string raw;
-  for (int i = 0; i < 4096; ++i) {
-    raw.push_back(static_cast<char>(rng() & 0xff));
-  }
-  const std::string block = binio::CompressBlock(raw);
-  // Stored-block fallback bounds the expansion to the small framing
-  // header, no matter how adversarial the input.
-  EXPECT_LE(block.size(), raw.size() + 10);
-  std::string out;
-  ASSERT_TRUE(binio::DecompressBlock(block, &out));
-  EXPECT_EQ(out, raw);
-}
-
-TEST(CompressBlockTest, RoundTripsOverlappingMatches) {
-  // RLE-style input exercises matches that overlap their own output
-  // (offset < match length), the classic LZ decode subtlety.
-  const std::string raw(100000, 'a');
-  const std::string block = binio::CompressBlock(raw);
-  EXPECT_LT(block.size(), 1000u);
-  std::string out;
-  ASSERT_TRUE(binio::DecompressBlock(block, &out));
-  EXPECT_EQ(out, raw);
-}
 
 /// An LZ block (mode 1) that declares `raw_size` bytes: `literals`
 /// verbatim, then, when `match_len` is not 0, a copy of `match_len` bytes

@@ -126,13 +126,14 @@ TEST(IoTest, DeclaredNodeCountsPastTheCeilingAreRefused) {
   EXPECT_EQ(ReadError("5 0\n", GraphFormat::kAsd, 4),
             "InvalidArgument: asd header: 5 nodes exceed the node ceiling of "
             "4");
-  // Implied counts: the edge list's largest id, Pajek list targets.
+  // The implied count of the edge list's largest id. A Pajek list target
+  // is bounded by *Vertices, which the ceiling already bounds.
   EXPECT_EQ(ReadError("0,3\n", GraphFormat::kEdgeList, 4), "ok");
   EXPECT_EQ(ReadError("0,4\n", GraphFormat::kEdgeList, 4),
             "InvalidArgument: graph: 5 nodes exceed the node ceiling of 4");
   EXPECT_EQ(
       ReadError("*Vertices 1\n*Arcslist\n1 5\n", GraphFormat::kPajek, 4),
-      "InvalidArgument: pajek edge: 5 nodes exceed the node ceiling of 4");
+      "ParseError: pajek line 3: endpoint out of range");
 }
 
 TEST(IoTest, CountsPastTheNodeIdRangeAreRefused) {
@@ -148,8 +149,7 @@ TEST(IoTest, CountsPastTheNodeIdRangeAreRefused) {
             "ceiling of 4294967295");
   EXPECT_EQ(ReadError("*Vertices 1\n*Arcslist\n1 4294967297\n",
                       GraphFormat::kPajek, kRange),
-            "InvalidArgument: pajek edge: 4294967297 nodes exceed the node "
-            "ceiling of 4294967295");
+            "ParseError: pajek line 3: endpoint out of range");
   EXPECT_EQ(ReadError("*Vertices 4294967298\n*Arcs\n1 2\n",
                       GraphFormat::kPajek, kRange),
             "InvalidArgument: pajek *Vertices: 4294967298 nodes exceed the "

@@ -379,10 +379,18 @@ std::vector<CorpusCase> PajekCorpus() {
        "n=2 m=1 labeled=1 fnv=4601fae9eba1746a"},
       {"duplicate labels",
        "*Vertices 3\n1 \"x\"\n2 \"x\"\n3 \"y\"\n*Arcs\n1 2\n2 3\n", kDefault,
-       "n=3 m=2 labeled=1 fnv=30ad5354f3ca3881"},
+       "error: ParseError: pajek: vertices 1 and 2 share the label 'x'"},
       {"label equals a synthetic name",
        "*Vertices 3\n1 \"v2\"\n*Arcs\n1 2\n2 3\n", kDefault,
-       "n=3 m=2 labeled=1 fnv=dac725cbec0a9fd3"},
+       "error: ParseError: pajek: vertex 1's label 'v2' is the synthetic name "
+       "of unlabeled vertex 2"},
+      {"label equals an earlier synthetic name",
+       "*Vertices 3\n3 \"v1\"\n*Arcs\n1 2\n", kDefault,
+       "error: ParseError: pajek: vertex 3's label 'v1' is the synthetic name "
+       "of unlabeled vertex 1"},
+      {"duplicate labels far apart",
+       "*Vertices 4\n4 \"x\"\n2 \"x\"\n*Arcs\n1 2\n", kDefault,
+       "error: ParseError: pajek: vertices 2 and 4 share the label 'x'"},
       {"vertex labeled twice", "*Vertices 2\n1 \"a\"\n1 \"b\"\n*Arcs\n1 2\n",
        kDefault, "n=2 m=1 labeled=1 fnv=a2ef774ebea5f997"},
       {"empty quotes are no label", "*Vertices 2\n1 \"\"\n*Arcs\n1 2\n",
@@ -398,12 +406,28 @@ std::vector<CorpusCase> PajekCorpus() {
       {"zero vertices", "*Vertices 0\n", kDefault,
        "n=0 m=0 labeled=0 fnv=463cd5ea02a5f42b"},
       {"arcs before vertices", "*Arcs\n1 2\n*Vertices 3\n", kDefault,
-       "n=3 m=1 labeled=0 fnv=319541ef2db8861b"},
+       "error: ParseError: pajek line 1: '*arcs' section before *Vertices"},
+      {"empty arcslist before vertices", "% c\n*Arcslist\n*Vertices 3\n",
+       kDefault,
+       "error: ParseError: pajek line 2: '*arcslist' section before "
+       "*Vertices"},
       {"second vertices section",
        "*Vertices 2\n1 \"a\"\n*Vertices 3\n*Arcs\n1 2\n", kDefault,
        "n=3 m=1 labeled=1 fnv=afef55411f6e704d"},
       {"arcslist past the declared count", "*Vertices 2\n*Arcslist\n1 5\n",
-       kDefault, "n=5 m=1 labeled=0 fnv=864b23382cc8008f"},
+       kDefault, "error: ParseError: pajek line 3: endpoint out of range"},
+      {"arcslist source past the declared count",
+       "*Vertices 2\n*Arcslist\n3 1\n", kDefault,
+       "error: ParseError: pajek line 3: endpoint out of range"},
+      {"edgeslist past the declared count", "*Vertices 2\n*Edgeslist\n1 2 3\n",
+       kDefault, "error: ParseError: pajek line 3: endpoint out of range"},
+      {"second vertices below an earlier arc",
+       "*Vertices 5\n*Arcs\n1 5\n*Vertices 4\n", kDefault,
+       "error: ParseError: pajek line 4: *Vertices 4 is below vertex 5 of an "
+       "earlier arc"},
+      {"second vertices covering every arc",
+       "*Vertices 5\n*Arcs\n1 4\n*Vertices 4\n", kDefault,
+       "n=4 m=1 labeled=0 fnv=34d40452cffdf259"},
       {"default drops loops and repeats", "*Vertices 2\n*Arcs\n1 2\n1 2\n2 2\n",
        kDefault, "n=2 m=1 labeled=0 fnv=2e0f7780596ecbfb"},
       {"keep both", "*Vertices 2\n*Arcs\n1 2\n1 2\n2 2\n", Build(false, false),
@@ -417,13 +441,15 @@ std::vector<CorpusCase> PajekCorpus() {
       {"empty", "", kDefault,
        "error: ParseError: pajek: missing *Vertices section"},
       {"missing vertices", "*Arcs\n1 2\n", kDefault,
+       "error: ParseError: pajek line 1: '*arcs' section before *Vertices"},
+      {"comments only", "% c\n\n", kDefault,
        "error: ParseError: pajek: missing *Vertices section"},
       {"empty section header", "*Vertices 2\n*\n", kDefault,
        "error: ParseError: pajek line 2: empty section header"},
       {"vertices without count", "% c\n*Vertices\n", kDefault,
        "error: ParseError: pajek line 2: *Vertices requires a count"},
       {"vertices count not an integer", "*Vertices two\n", kDefault,
-       "error: ParseError: invalid integer: 'two'"},
+       "error: ParseError: pajek line 1: invalid integer 'two'"},
       {"negative vertex count", "*Vertices -1\n", kDefault,
        "error: ParseError: pajek line 1: negative vertex count"},
       {"unknown section", "*Vertices 2\n*Bogus\n", kDefault,
@@ -435,7 +461,7 @@ std::vector<CorpusCase> PajekCorpus() {
       {"vertex id past the count", "*Vertices 2\n\n5 \"x\"\n", kDefault,
        "error: ParseError: pajek line 3: vertex id out of range"},
       {"vertex id not an integer", "*Vertices 2\nx \"a\"\n", kDefault,
-       "error: ParseError: invalid integer: 'x'"},
+       "error: ParseError: pajek line 2: invalid integer 'x'"},
       {"arc with one endpoint", "*Vertices 2\n*Arcs\n1\n", kDefault,
        "error: ParseError: pajek line 3: expected 'u v'"},
       {"arc endpoint zero", "*Vertices 2\n*Arcs\n0 1\n", kDefault,
@@ -445,7 +471,7 @@ std::vector<CorpusCase> PajekCorpus() {
       {"edge endpoint past the count", "*Vertices 2\n*Edges\n3 1\n", kDefault,
        "error: ParseError: pajek line 3: endpoint out of range"},
       {"arc endpoint not an integer", "*Vertices 2\n*Arcs\n1 b\n", kDefault,
-       "error: ParseError: invalid integer: 'b'"},
+       "error: ParseError: pajek line 3: invalid integer 'b'"},
       {"arcslist with one entry", "*Vertices 2\n*Arcslist\n1\n", kDefault,
        "error: ParseError: pajek line 3: expected 'u v...'"},
       {"arcslist source zero", "*Vertices 2\n*Arcslist\n0 1\n", kDefault,
@@ -453,7 +479,7 @@ std::vector<CorpusCase> PajekCorpus() {
       {"arcslist target zero", "*Vertices 2\n*Arcslist\n1 2 0\n", kDefault,
        "error: ParseError: pajek line 3: endpoint out of range"},
       {"edgeslist target not an integer", "*Vertices 2\n*Edgeslist\n1 z\n",
-       kDefault, "error: ParseError: invalid integer: 'z'"},
+       kDefault, "error: ParseError: pajek line 3: invalid integer 'z'"},
       {"error line counts comments", "% a\n% b\n*Vertices 2\n*Arcs\n\n1 9\n",
        kDefault, "error: ParseError: pajek line 6: endpoint out of range"},
   };
@@ -507,7 +533,7 @@ std::vector<CorpusCase> MetisCorpus() {
        "error: Unimplemented: metis: weighted graphs (fmt/ncon header "
        "fields) are not supported"},
       {"header not an integer", "a 1\n", kDefault,
-       "error: ParseError: invalid integer: 'a'"},
+       "error: ParseError: metis line 1: invalid integer 'a'"},
       {"negative node count", "-1 0\n", kDefault,
        "error: ParseError: metis: negative count in header"},
       {"negative edge count", "2 -1\n", kDefault,
@@ -517,9 +543,9 @@ std::vector<CorpusCase> MetisCorpus() {
       {"neighbour zero", "% c\n2 1\n\n0\n", kDefault,
        "error: ParseError: metis line 4: neighbour 0 out of range [1, 2]"},
       {"neighbour not an integer", "2 1\nx\n\n", kDefault,
-       "error: ParseError: invalid integer: 'x'"},
+       "error: ParseError: metis line 2: invalid integer 'x'"},
       {"comment after a neighbour", "2 1\n2 % c\n1\n", kDefault,
-       "error: ParseError: invalid integer: '%'"},
+       "error: ParseError: metis line 2: invalid integer '%'"},
       {"missing rows", "3 1\n2\n1\n", kDefault,
        "error: ParseError: metis: expected 3 adjacency lines, found 2"},
       {"missing rows after comments", "3 1\n2\n% c\n", kDefault,
@@ -563,13 +589,13 @@ std::vector<CorpusCase> AsdCorpus() {
       {"only comments", "# only comments\n\n", kDefault,
        "error: ParseError: asd: missing 'N M' header"},
       {"percent is not a comment", "% c\n2 1\n0 1\n", kDefault,
-       "error: ParseError: invalid integer: '%'"},
+       "error: ParseError: asd line 1: invalid integer '%'"},
       {"header with one field", "3\n", kDefault,
        "error: ParseError: asd line 1: header must be 'N M'"},
       {"header with three fields", "# c\n3 2 1\n", kDefault,
        "error: ParseError: asd line 2: header must be 'N M'"},
       {"header not an integer", "3 x\n", kDefault,
-       "error: ParseError: invalid integer: 'x'"},
+       "error: ParseError: asd line 1: invalid integer 'x'"},
       {"negative node count", "-1 0\n", kDefault,
        "error: ParseError: asd: negative count in header"},
       {"negative edge count", "2 -3\n", kDefault,
@@ -587,7 +613,7 @@ std::vector<CorpusCase> AsdCorpus() {
       {"edge line with one field", "2 1\n\n0\n", kDefault,
        "error: ParseError: asd line 3: expected 'u v'"},
       {"endpoint not an integer", "2 1\n0 b\n", kDefault,
-       "error: ParseError: invalid integer: 'b'"},
+       "error: ParseError: asd line 2: invalid integer 'b'"},
       {"comma edge line", "2 1\n0,1\n", kDefault,
        "error: ParseError: asd line 2: expected 'u v'"},
   };

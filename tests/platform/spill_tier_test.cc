@@ -63,7 +63,7 @@ std::string OnlySpillFileBytes(const std::string& dir) {
   return bytes;
 }
 
-/// `n` seeded pseudo-random bytes: `CompressBlock` stores them verbatim.
+/// `n` seeded pseudo-random bytes.
 std::string IncompressibleBytes(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::string bytes;
@@ -213,8 +213,8 @@ TEST(SpillTierTest, TruncatedFileSkippedAtRecoveryWithWarning) {
 TEST(SpillTierTest, BitRotDetectedByChecksumOnGet) {
   const std::string dir = FreshSpillDir("bitrot");
   SpillTier tier(dir, SpillTierOptions{}, "dataset");
-  // Incompressible, so the file ends in a stored block: the flipped last
-  // byte is a raw payload byte and only the checksum can catch it.
+  // The file ends in a stored block: the flipped last byte is a raw
+  // payload byte and only the checksum can catch it.
   ASSERT_TRUE(PutAndFlush(tier, "k", IncompressibleBytes(100, 4)).ok());
   FlipSpillFileByte(dir, 1);
   LogCapture log;
@@ -249,7 +249,7 @@ TEST(SpillTierTest, LongKeysGetHashedFileNames) {
   EXPECT_EQ(tier.Get(long_b).value().payload, "payload-b");
 }
 
-// ---- PR 6: write-behind buffer, compression, key filter --------------------
+// ---- write-behind buffer, file format, cold misses -------------------------
 
 SpillTierOptions WriteBehind(size_t buffer_bytes, size_t max_bytes = 0) {
   SpillTierOptions options;
@@ -422,7 +422,6 @@ TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
   SpillTier tier(FreshSpillDir("wb_oversize"), WriteBehind(1u << 20, 64),
                  "result");
   LogCapture log;
-  // Incompressible payload so the encoded file genuinely exceeds 64 bytes.
   ASSERT_TRUE(tier.Put("big", IncompressibleBytes(1000, 7)).ok());
   tier.Flush();
   EXPECT_FALSE(tier.Contains("big"));
@@ -431,17 +430,20 @@ TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
   EXPECT_TRUE(log.Contains("larger than the entire spill budget"));
 }
 
-TEST(SpillTierCompressionTest, CompressedFilesRoundTripBitIdentically) {
-  SpillTier tier(FreshSpillDir("cmp_roundtrip"), SpillTierOptions{},
-                 "dataset");
-  // Repetitive payload (the CSR shape) — must take the LZ path.
+TEST(SpillTierCompressionTest, RepetitivePayloadIsStoredVerbatim) {
+  const std::string dir = FreshSpillDir("cmp_roundtrip");
+  SpillTier tier(dir, SpillTierOptions{}, "dataset");
+  // Even a payload an LZ coder would shrink is written as a stored block:
+  // 51 header bytes for key "k" and a 160,000-byte payload, then the
+  // payload verbatim.
   std::string payload;
   for (uint32_t i = 0; i < 20000; ++i) payload += "abcdefgh";
   ASSERT_TRUE(PutAndFlush(tier, "k", payload, 9).ok());
   const SpillTierStats stats = tier.stats();
-  EXPECT_LT(stats.bytes, stats.raw_bytes)
-      << "compressible payload must shrink on disk";
   EXPECT_EQ(stats.raw_bytes, payload.size());
+  EXPECT_EQ(stats.bytes, payload.size() + 51);
+  const std::string file = OnlySpillFileBytes(dir);
+  EXPECT_EQ(file.substr(51), payload);
   const SpillTier::Loaded loaded = tier.Get("k").value();
   EXPECT_EQ(loaded.payload, payload);
   EXPECT_EQ(loaded.meta, 9u);
@@ -530,32 +532,22 @@ TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
 
 TEST(SpillTierCompressionTest, V2FileBytesArePinned) {
   // FNV-1a of the whole CYSP2 file written for a fixed (key, payload,
-  // meta), one LZ-compressed and one stored-block payload. A change to the
-  // header layout, the checksum, or the block codec changes these.
-  std::string compressible;
-  for (int i = 0; i < 2000; ++i) compressible += std::to_string(i % 37) + ",";
-  const struct {
-    std::string payload;
-    size_t file_bytes;
-    uint64_t fnv;
-  } cases[] = {
-      {compressible, 169, 0x0e32c2a6e5eee219ull},
-      {IncompressibleBytes(600, 16), 661, 0x3164dcce76614fb2ull},
-  };
-  for (const auto& c : cases) {
-    const std::string dir = FreshSpillDir("format_v2_golden");
-    {
-      SpillTier tier(dir, SpillTierOptions{}, "dataset");
-      ASSERT_TRUE(tier.Put("golden/key 1", c.payload, 0x0123456789abcdefull)
-                      .ok());
-      ASSERT_TRUE(tier.Flush().ok());
-    }
-    const std::string file = OnlySpillFileBytes(dir);
-    ASSERT_EQ(file.substr(0, 6), "CYSP2\n");
-    EXPECT_EQ(file.size(), c.file_bytes);
-    EXPECT_EQ(binio::Fnv1a64(file), c.fnv) << std::hex << "0x"
-                                           << binio::Fnv1a64(file);
+  // meta). A change to the header layout, the checksum, or the block
+  // framing changes it. (An LZ-block file, which writers no longer make, is
+  // pinned as a read fixture: `LzBlockFilesStillLoad`.)
+  const std::string dir = FreshSpillDir("format_v2_golden");
+  {
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
+    ASSERT_TRUE(tier.Put("golden/key 1", IncompressibleBytes(600, 16),
+                         0x0123456789abcdefull)
+                    .ok());
+    ASSERT_TRUE(tier.Flush().ok());
   }
+  const std::string file = OnlySpillFileBytes(dir);
+  ASSERT_EQ(file.substr(0, 6), "CYSP2\n");
+  EXPECT_EQ(file.size(), 661u);
+  EXPECT_EQ(binio::Fnv1a64(file), 0x3164dcce76614fb2ull)
+      << std::hex << "0x" << binio::Fnv1a64(file);
 }
 
 /// Appends `v` little-endian, spelled out byte by byte so the CYSP1 layout
@@ -739,35 +731,44 @@ TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
   EXPECT_EQ(after, spills);
 }
 
-TEST(SpillTierFilterTest, ColdMissesShortCircuitWithoutDiskProbes) {
-  SpillTier tier(FreshSpillDir("filter_cold"), WriteBehind(1u << 20),
-                 "dataset");
+TEST(SpillTierColdMissTest, ColdMissesNeverTouchTheFilesystem) {
+  FaultInjectingEnv env(Env::Default());
+  SpillTierOptions options = WriteBehind(1u << 20);
+  options.env = &env;
+  SpillTier tier(FreshSpillDir("cold_miss"), options, "dataset");
   ASSERT_TRUE(PutAndFlush(tier, "present", "payload").ok());
-  // A key never stored is answered by the filter alone: the counter
-  // increments and the exact-index miss counter does not — no lock was
-  // taken, no directory probe happened.
+  // A key never stored is answered from the buffer and the index: no Env
+  // call. Only Get counts a miss.
+  const uint64_t ops = env.stats().ops;
   EXPECT_EQ(tier.Get("never-stored").status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(tier.Contains("also-never-stored"));
-  const SpillTierStats stats = tier.stats();
-  EXPECT_EQ(stats.filter_negatives, 2u);
-  EXPECT_EQ(stats.misses, 0u);
-  // Present keys pass the filter and resolve exactly.
+  EXPECT_EQ(tier.Meta("never-stored"), std::nullopt);
+  EXPECT_EQ(env.stats().ops, ops);
+  EXPECT_EQ(tier.stats().misses, 1u);
+  // Present keys resolve exactly.
   EXPECT_TRUE(tier.Contains("present"));
+  EXPECT_EQ(tier.Meta("present"), 0u);
 }
 
-TEST(SpillTierFilterTest, FilterIsRebuiltByRecovery) {
-  const std::string dir = FreshSpillDir("filter_recovery");
+TEST(SpillTierColdMissTest, RecoveredKeysLoadAndStrangersMissColdly) {
+  const std::string dir = FreshSpillDir("cold_miss_recovery");
   {
     SpillTier tier(dir, WriteBehind(1u << 20), "dataset");
     ASSERT_TRUE(tier.Put("survivor", "payload", 3).ok());
   }
-  SpillTier revived(dir, WriteBehind(1u << 20), "dataset");
-  // The recovered key passes the filter and reloads; a stranger still
-  // short-circuits.
+  FaultInjectingEnv env(Env::Default());
+  SpillTierOptions options = WriteBehind(1u << 20);
+  options.env = &env;
+  SpillTier revived(dir, options, "dataset");
+  // The recovered key reloads; a stranger misses without an Env call.
   EXPECT_EQ(revived.Get("survivor").value().payload, "payload");
+  EXPECT_EQ(revived.Meta("survivor"), 3u);
+  const uint64_t ops = env.stats().ops;
   EXPECT_EQ(revived.Get("stranger").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(revived.stats().filter_negatives, 1u);
-  EXPECT_EQ(revived.stats().misses, 0u);
+  EXPECT_FALSE(revived.Contains("stranger"));
+  EXPECT_EQ(revived.Meta("stranger"), std::nullopt);
+  EXPECT_EQ(env.stats().ops, ops);
+  EXPECT_EQ(revived.stats().misses, 1u);
 }
 
 }  // namespace

@@ -644,6 +644,58 @@ TEST(StressTest, WriteBehindChurnWithBackpressureStaysConsistent) {
   EXPECT_GT(tier.stats().backpressure_waits, 0u);
 }
 
+TEST(StressTest, ColdMissesRaceWritesErasesAndFlushes) {
+  // Two readers ask the tier about keys that were never stored, and about
+  // keys a writer keeps putting, erasing and flushing. A cold key must
+  // always miss, a hot key must load with its own payload or miss. Run
+  // under TSan via tools/verify.sh.
+  SpillTierOptions options;
+  options.write_behind_bytes = 4096;
+  SpillTier tier(FreshSpillDir("stress_cold_miss"), options, "dataset");
+  constexpr int kIters = 200;
+  const auto hot = [](int i) { return "hot/k" + std::to_string(i % 8); };
+  const auto payload_for = [](const std::string& key) {
+    return std::string(256, key.back());
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; !done.load() || i < kIters; ++i) {
+        const std::string cold = "cold/" + std::to_string(t) + "/" +
+                                 std::to_string(i);
+        EXPECT_EQ(tier.Get(cold).status().code(), StatusCode::kNotFound);
+        EXPECT_FALSE(tier.Contains(cold));
+        EXPECT_EQ(tier.Meta(cold), std::nullopt);
+        const auto loaded = tier.Get(hot(i));
+        if (loaded.ok()) {
+          EXPECT_EQ(loaded->payload, payload_for(hot(i)));
+        } else {
+          EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+        }
+        (void)tier.Contains(hot(i + 1));
+        (void)tier.Meta(hot(i + 2));
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (int i = 0; i < kIters; ++i) {
+      EXPECT_TRUE(tier.Put(hot(i), payload_for(hot(i)), i).ok());
+      if (i % 3 == 0) tier.Erase(hot(i + 5));
+      if (i % 7 == 0) {
+        EXPECT_TRUE(tier.Flush().ok());
+      }
+    }
+    done.store(true);
+  });
+  writer.join();
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_TRUE(tier.Flush().ok());
+  for (const std::string& key : tier.Keys()) {
+    EXPECT_EQ(tier.Get(key).value().payload, payload_for(key)) << key;
+  }
+}
+
 TEST(StressTest, ConcurrentResultCacheChurn) {
   // The result cache under concurrency: a budget of ~2 entries keeps
   // eviction constant, readers bump recency, and an invalidator erases
