@@ -25,9 +25,12 @@ namespace cyclerank {
 /// `%` starts a comment line. Weights are accepted and ignored (the demo's
 /// algorithms are unweighted). `*Arcslist` / `*Edgeslist` adjacency-list
 /// sections are also handled. `content` is read in place; a `*Vertices`
-/// count or a vertex number past `build.max_nodes` is refused where it is
-/// parsed. When any vertex is labeled, vertex i gets the label given for it
-/// (or `"v<i>"`) and the graph carries a `LabelMap`.
+/// count past `build.max_nodes` is refused where it is parsed. Every arc
+/// section must follow `*Vertices`, and every endpoint must lie within its
+/// count, so the graph has exactly the declared nodes. When any vertex is
+/// labeled, vertex i gets the label given for it (or `"v<i>"`) and the
+/// graph carries a `LabelMap`; two vertices with the same name are a
+/// ParseError naming both.
 Result<Graph> ReadPajek(std::string_view content,
                         const GraphBuildOptions& build = {});
 

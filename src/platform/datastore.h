@@ -59,7 +59,7 @@ struct DatastoreSpillStats {
 /// instead of destroying it, later lookups transparently reload it, and the
 /// tiers survive a process restart (recovery scan). Demotion enqueues into
 /// each tier's write-behind buffer (bounded by `spill_write_behind_bytes`),
-/// flushed by a background thread that block-compresses payloads on disk;
+/// flushed to disk by a background thread, payloads stored verbatim;
 /// `Flush()` is the durability barrier. An empty `spill_dir` keeps the
 /// historical drop-on-evict behavior. A `cache/` directory that older
 /// versions left under `spill_dir` is ignored.

@@ -131,12 +131,14 @@ Result<PlatformOptions> PlatformOptions::FromString(std::string_view text) {
             "durability barrier)");
       }
     } else if (key == "spill_compression") {
-      // Accepted for old configs: spill files are always compressed.
+      // Accepted for old configs and ignored: spill payloads are written
+      // as stored blocks.
       const std::string lowered = AsciiToLower(value);
       if (lowered == "false" || lowered == "0") {
         return Status::InvalidArgument(
             "platform options: spill_compression=" + value +
-            " is no longer supported (spill files are always compressed)");
+            " is no longer supported (the key is accepted only as true, "
+            "for old configs, and has no effect)");
       }
       if (lowered != "true" && lowered != "1") {
         return Status::ParseError(

@@ -82,13 +82,13 @@ struct PlatformOptions {
 
   /// Byte bound of each spill tier's in-memory write-behind buffer.
   /// Demotion *enqueues* the victim and returns — a background flush
-  /// thread serializes, block-compresses (see common/binary_io.h), and
-  /// renames to disk off the store locks, and reads hit the buffer before
-  /// disk so an entry is never invisible. Past the bound demotion blocks
-  /// until the flusher catches up (backpressure). `FromString` rejects 0:
-  /// there is no synchronous mode; `Datastore::Flush()` is the durability
-  /// barrier. Spill files are always written compressed; uncompressed
-  /// files from older processes still load.
+  /// thread serializes, checksums, writes and renames to disk off the
+  /// store locks, and reads hit the buffer before disk so an entry is
+  /// never invisible. Past the bound demotion blocks until the flusher
+  /// catches up (backpressure). `FromString` rejects 0: there is no
+  /// synchronous mode; `Datastore::Flush()` is the durability barrier.
+  /// Payloads are written as stored blocks; the LZ-compressed and
+  /// unframed files of older processes still load.
   size_t spill_write_behind_bytes = 32u << 20;  // 32 MiB
 
   /// Retries after a failed spill disk operation (write or read) before
