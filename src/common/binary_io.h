@@ -197,9 +197,8 @@ inline uint64_t Fnv1a64(std::string_view data) {
 // Block decoding — the payload framing of CYSP2 spill files.
 //
 // Writers store every payload verbatim (mode 0). Older versions also wrote
-// LZ blocks (mode 1) from a small LZ77 encoder that saved about 9% of disk
-// bytes on serialized graphs; it was deleted, but files holding such
-// blocks may still be the only copy of an upload, so the decoder stays.
+// LZ blocks (mode 1); a file holding one may be the only copy of an
+// upload, so the decoder still reads both.
 //
 // Block layout:
 //   mode byte            0 = stored, 1 = LZ

@@ -37,8 +37,7 @@ namespace {
 ///   FNV-1a 64 checksum of the RAW payload  u64
 ///   original key                           u64 length + bytes
 ///   raw payload size                       u64
-///   block (mode byte, varint raw size,     u64 length + bytes
-///   body)
+///   payload block (common/binary_io.h)     u64 length + bytes
 ///
 /// The key is stored *in* the file, so recovery never has to invert the
 /// filename encoding, and a renamed file still identifies itself.
