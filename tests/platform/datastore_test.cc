@@ -289,28 +289,38 @@ TEST(DatastoreTest, RetentionZeroMeansUnlimited) {
 
 TEST(DatastoreTest, RetryOverwriteKeepsRetentionSlot) {
   Datastore store(nullptr, RetainResults(2));
+  store.AppendLog("a", "first run");
   store.PutResult(ResultFor("a"));
   store.PutResult(ResultFor("b"));
   // Overwriting "a" must not count as a new insertion (or "b" would be
   // unfairly evicted ahead of it later).
+  store.AppendLog("a", "retry");
   TaskResult retry = ResultFor("a");
   retry.seconds = 9.0;
   store.PutResult(retry);
   EXPECT_EQ(store.NumStoredResults(), 2u);
   EXPECT_DOUBLE_EQ(store.GetResult("a").value().seconds, 9.0);
+  // The overwrite keeps the log lines of the earlier attempt.
+  EXPECT_EQ(store.GetLog("a"),
+            (std::vector<std::string>{"first run", "retry"}));
   store.PutResult(ResultFor("c"));  // evicts "a", the oldest insertion
   EXPECT_EQ(store.GetResult("a").status().code(), StatusCode::kExpired);
+  EXPECT_TRUE(store.GetLog("a").empty());
   EXPECT_TRUE(store.HasResult("b"));
   EXPECT_TRUE(store.HasResult("c"));
 }
 
 TEST(DatastoreTest, ReStoringAnEvictedResultRevivesIt) {
   Datastore store(nullptr, RetainResults(1));
+  store.AppendLog("a", "first run");
   store.PutResult(ResultFor("a"));
   store.PutResult(ResultFor("b"));  // evicts "a"
   EXPECT_EQ(store.GetResult("a").status().code(), StatusCode::kExpired);
+  store.AppendLog("a", "re-run");
   store.PutResult(ResultFor("a"));  // re-run stored again, evicts "b"
   EXPECT_TRUE(store.HasResult("a"));
+  // The eviction dropped the first run's lines; the re-run's stay.
+  EXPECT_EQ(store.GetLog("a"), (std::vector<std::string>{"re-run"}));
   EXPECT_EQ(store.GetResult("b").status().code(), StatusCode::kExpired);
 }
 
