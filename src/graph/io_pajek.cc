@@ -176,6 +176,21 @@ Result<Graph> ReadPajek(std::string_view content,
 }
 
 Status WritePajek(const Graph& g, std::ostream& out) {
+  // A label is written between double quotes, unescaped, and the reader
+  // ends it at the next quote and the line at a line break: such a label
+  // could not come back intact, so it is refused before anything is
+  // written.
+  if (g.labels() != nullptr) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const std::string name = g.NodeName(u);
+      if (name.find_first_of("\"\r\n") != std::string::npos) {
+        return Status::InvalidArgument(
+            "pajek: vertex " + std::to_string(u + 1) + "'s label '" + name +
+            "' contains a double quote or a line break, which a Pajek "
+            "label cannot hold");
+      }
+    }
+  }
   out << "*Vertices " << g.num_nodes() << '\n';
   if (g.labels() != nullptr) {
     for (NodeId u = 0; u < g.num_nodes(); ++u) {

@@ -34,7 +34,10 @@ namespace cyclerank {
 Result<Graph> ReadPajek(std::string_view content,
                         const GraphBuildOptions& build = {});
 
-/// Serializes `g` as `*Vertices` (+labels) and `*Arcs`.
+/// Serializes `g` as `*Vertices` (+labels) and `*Arcs`. A label holding a
+/// double quote or a line break cannot be written so that `ReadPajek`
+/// gets it back; it is refused with `kInvalidArgument` naming the vertex,
+/// before anything is written.
 Status WritePajek(const Graph& g, std::ostream& out);
 
 }  // namespace cyclerank

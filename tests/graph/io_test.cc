@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/generators.h"
+#include "graph/graph_builder.h"
 
 namespace cyclerank {
 namespace {
@@ -98,6 +99,42 @@ TEST(IoTest, FileRoundTrip) {
   const Graph g2 = ReadGraphFile(path).value();  // format from extension
   EXPECT_EQ(g2.num_edges(), 3u);
   std::remove(path.c_str());
+}
+
+TEST(IoTest, PajekRefusesLabelsItCannotQuote) {
+  // Pajek labels sit between unescaped double quotes, one vertex per line:
+  // a label holding a quote or a line break would come back altered.
+  const Graph quoted = ReadGraphFromString("say \"hi\",b\nb,c\n").value();
+  const Result<std::string> written =
+      WriteGraphToString(quoted, GraphFormat::kPajek);
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.status().ToString(),
+            "InvalidArgument: pajek: vertex 1's label 'say \"hi\"' contains "
+            "a double quote or a line break, which a Pajek label cannot hold");
+
+  for (const char* label : {"two\nlines", "carriage\rreturn"}) {
+    GraphBuilder builder;
+    builder.AddEdge("a", label);
+    const Graph broken = builder.Build().value();
+    const Result<std::string> refused =
+        WriteGraphToString(broken, GraphFormat::kPajek);
+    ASSERT_FALSE(refused.ok()) << label;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("vertex 2's label"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
+
+  // Every other label, spaces and commas included, round-trips.
+  GraphBuilder builder;
+  builder.AddEdge("plain", "with space, comma");
+  const Graph fine = builder.Build().value();
+  const Graph back =
+      ReadGraphFromString(WriteGraphToString(fine, GraphFormat::kPajek).value(),
+                          GraphFormat::kPajek)
+          .value();
+  EXPECT_EQ(back.NodeName(0), "plain");
+  EXPECT_EQ(back.NodeName(1), "with space, comma");
 }
 
 TEST(IoTest, ReadMissingFileIsIOError) {
