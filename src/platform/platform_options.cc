@@ -131,19 +131,14 @@ Result<PlatformOptions> PlatformOptions::FromString(std::string_view text) {
             "durability barrier)");
       }
     } else if (key == "spill_compression") {
-      // Accepted for old configs and ignored: spill payloads are written
-      // as stored blocks.
+      // Accepted for old configs and ignored, whatever its boolean value:
+      // spill payloads are always written as stored blocks.
       const std::string lowered = AsciiToLower(value);
-      if (lowered == "false" || lowered == "0") {
-        return Status::InvalidArgument(
-            "platform options: spill_compression=" + value +
-            " is no longer supported (the key is accepted only as true, "
-            "for old configs, and has no effect)");
-      }
-      if (lowered != "true" && lowered != "1") {
+      if (lowered != "true" && lowered != "1" && lowered != "false" &&
+          lowered != "0") {
         return Status::ParseError(
-            "platform options: spill_compression expects true/1, got '" +
-            value + "'");
+            "platform options: spill_compression expects true/1/false/0 "
+            "(it has no effect), got '" + value + "'");
       }
     } else if (key == "spill_retry_limit") {
       CYCLERANK_ASSIGN_OR_RETURN(options.spill_retry_limit,

@@ -1,5 +1,6 @@
 #include "platform/platform_options.h"
 
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -165,16 +166,16 @@ TEST(PlatformOptionsTest, LsmKnobsParse) {
                 .message()
                 .find("Datastore::Flush()"),
             std::string::npos);
-  // Spill files are always compressed: true/1 (any case) are accepted as
-  // no-ops, false/0 are rejected, anything else is a parse error.
-  EXPECT_EQ(PlatformOptions::FromString("spill_compression=TRUE").value(),
-            PlatformOptions{});
-  EXPECT_EQ(PlatformOptions::FromString("spill_compression=1").value(),
-            PlatformOptions{});
-  ExpectRejected("spill_compression=false", StatusCode::kInvalidArgument,
-                 "spill_compression");
-  ExpectRejected("spill_compression=0", StatusCode::kInvalidArgument,
-                 "spill_compression");
+  // Spill payloads are always stored uncompressed: true/1/false/0 (any
+  // case) are all accepted as the same no-op, anything else is a parse
+  // error.
+  for (const char* value : {"TRUE", "1", "false", "0", "False"}) {
+    EXPECT_EQ(PlatformOptions::FromString(std::string("spill_compression=") +
+                                          value)
+                  .value(),
+              PlatformOptions{})
+        << value;
+  }
   ExpectRejected("spill_compression=maybe", StatusCode::kParseError,
                  "spill_compression");
   EXPECT_FALSE(PlatformOptions::FromString("spill_write_behind_bytes=-1").ok());
