@@ -23,10 +23,12 @@
 ///
 /// The ranks below encode every real nesting in the platform; see
 /// src/platform/README.md ("Lock hierarchy") for the prose version.
-/// Outer layers (gateway → scheduler → datastore facade) have low ranks;
-/// the stores come next; the spill tier's two locks (write-behind buffer
-/// before disk index — the documented fixed order) sit below those because
-/// every store calls into its spill tier while holding its own lock; the
+/// Outer layers (gateway → scheduler) have low ranks; the stores come next
+/// (the datastore facade holds no lock of its own: each store orders its
+/// own lifecycle steps under its own mutex); the spill tier's two locks
+/// (write-behind buffer before disk index — the documented fixed order)
+/// sit below those because the graph and result stores call into their
+/// spill tier while holding their own lock; the
 /// thread pool, workspace pool, and logging are leaf-most — they are
 /// acquired from under almost everything (the scheduler posts to the pool
 /// while holding `mu_`; warnings are logged under store locks).
@@ -63,20 +65,15 @@ inline constexpr int kGatewayMu = 100;
 /// pool-refused shutdown path) while running the whole executor stack.
 inline constexpr int kSchedulerMu = 200;
 
-/// `Datastore::put_mu_` — orders result-write + log-erase pairs; holds
-/// while calling the result store, log store, and result spill tier.
-inline constexpr int kDatastorePutMu = 300;
-
-/// The individually-locked stores. They never nest with each other (the
-/// facade's `put_mu_` is what orders multi-store operations), so their
-/// relative order is free; the graph store calls into its spill tier and
-/// the logger under its lock.
+/// The individually-locked stores. They never nest with each other, so
+/// their relative order is free; the graph store and the result store
+/// (results and their logs) each call into their spill tier and the
+/// logger under their lock.
 inline constexpr int kGraphStoreMu = 400;
 inline constexpr int kResultStoreMu = 410;
 /// `ResultCache::mu_` — memory only: taken under the scheduler's mutex,
 /// it nests outside no other lock.
 inline constexpr int kResultCacheMu = 420;
-inline constexpr int kLogStoreMu = 430;
 inline constexpr int kCatalogMu = 440;
 inline constexpr int kRegistryMu = 450;
 inline constexpr int kStatusServiceMu = 460;

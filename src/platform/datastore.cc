@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "common/env.h"
-#include "common/logging.h"
 #include "graph/io.h"
 #include "platform/params.h"
-#include "platform/result_io.h"
 
 namespace cyclerank {
 
@@ -57,7 +55,7 @@ Datastore::Datastore(DatasetCatalog* catalog, const PlatformOptions& options,
       result_spill_(MakeSpillTier(options, env, "results",
                                   options.result_spill_bytes, "result")),
       graphs_(options.graph_store_bytes, dataset_spill_.get()),
-      results_(options.max_retained_results),
+      results_(options.max_retained_results, result_spill_.get()),
       result_cache_(options.result_cache_bytes) {
   RemoveRetiredCacheTier(options, env);
 }
@@ -79,77 +77,6 @@ DatastoreSpillStats Datastore::SpillStats() const {
   if (dataset_spill_ != nullptr) stats.datasets = dataset_spill_->stats();
   if (result_spill_ != nullptr) stats.results = result_spill_->stats();
   return stats;
-}
-
-void Datastore::PutResult(TaskResult result) {
-  // Serialize writers so "evict X" and "erase X's logs" are atomic
-  // against a concurrent re-store of X (which would otherwise revive the
-  // result between the two steps and lose its logs). Reads — GetResult,
-  // GetLog, AppendLog — stay on the stores' own locks.
-  MutexLock lock(put_mu_);
-  DemoteEvictedResultsLocked(results_.Put(std::move(result)));
-}
-
-void Datastore::DemoteEvictedResultsLocked(std::vector<TaskResult> evicted) {
-  std::vector<std::string> evicted_ids;
-  evicted_ids.reserve(evicted.size());
-  for (TaskResult& victim : evicted) {
-    evicted_ids.push_back(victim.task_id);
-    if (result_spill_ == nullptr) continue;
-    // Deferred payload: the serialization happens on the tier's flush
-    // thread, so retention eviction does not pay for it under put_mu_.
-    const std::string task_id = victim.task_id;
-    const Status spilled =
-        result_spill_->Put(task_id, MakeResultSpillPayload(std::move(victim)));
-    if (!spilled.ok()) {
-      CYCLERANK_LOG(kWarning)
-          << "datastore: could not spill evicted result '" << task_id
-          << "': " << spilled.ToString() << "; dropping it instead";
-    }
-  }
-  logs_.Erase(evicted_ids);
-}
-
-Result<TaskResult> Datastore::GetResult(const std::string& task_id) {
-  Result<TaskResult> stored = results_.Get(task_id);
-  if (stored.ok() || result_spill_ == nullptr) return stored;
-  // Retention evicted the result from memory (kExpired) — or even its
-  // marker (kNotFound) — but the disk tier may still hold it.
-  Result<SpillTier::Loaded> loaded = result_spill_->Get(task_id);
-  MutexLock lock(put_mu_);
-  // Look again with writers held off. A concurrent PutResult (the
-  // retry-overwrite path) may have stored a fresh result since the memory
-  // miss above; the memory tier wins — re-admitting the disk copy would
-  // clobber it. And a spill miss may have fallen between a PutResult
-  // evicting this result from memory and demoting it to the tier, both
-  // under put_mu_: the tier holds it now.
-  stored = results_.Get(task_id);
-  if (stored.ok()) return stored;
-  if (!loaded.ok()) loaded = result_spill_->Get(task_id);
-  if (loaded.ok()) {
-    Result<TaskResult> decoded = DeserializeTaskResult(loaded->payload);
-    if (decoded.ok()) {
-      // Re-admit to the memory tier (a revived result occupies a fresh
-      // retention slot; the oldest may be demoted in its place). The logs
-      // were dropped at the original eviction and stay dropped.
-      DemoteEvictedResultsLocked(results_.Put(*decoded));
-      return decoded;
-    }
-    CYCLERANK_LOG(kWarning) << "datastore: dropping undecodable spill of "
-                            << "result '" << task_id
-                            << "': " << decoded.status().ToString();
-    result_spill_->Erase(task_id);
-  }
-  if (stored.status().code() == StatusCode::kExpired &&
-      result_spill_->WasPruned(task_id)) {
-    return Status::Expired(
-        "result for task '" + task_id +
-        "' was evicted by the retention policy, spilled to disk, and then "
-        "pruned by the result spill budget (" +
-        std::to_string(result_spill_->max_bytes()) +
-        " bytes); it must be recomputed");
-  }
-  return stored;
 }
 
 Status Datastore::PutDataset(const std::string& name, GraphPtr graph) {

@@ -5,16 +5,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/lock_rank.h"
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "datasets/catalog.h"
 #include "graph/graph.h"
 #include "platform/graph_store.h"
-#include "platform/log_store.h"
 #include "platform/platform_options.h"
 #include "platform/result_cache.h"
 #include "platform/result_store.h"
@@ -38,20 +35,20 @@ struct DatastoreSpillStats {
 /// datasets. It also provides storage for results and logs produced by the
 /// system."
 ///
-/// A facade over three focused, individually-locked stores — one per
+/// A facade over two focused, individually-locked stores — one per
 /// lifecycle:
 ///
 ///   - `GraphStore`  — uploaded datasets, byte-budgeted
 ///     (`PlatformOptions::graph_store_bytes`), least-recently-queried
 ///     eviction;
-///   - `ResultStore` — per-task results, FIFO retention
-///     (`max_retained_results`);
-///   - `LogStore`    — per-task logs, dropped when their result expires;
+///   - `ResultStore` — per-task results and their logs, FIFO retention
+///     (`max_retained_results`); a task's logs are dropped when its result
+///     is evicted;
 ///
 /// plus the byte-budgeted, memory-only `ResultCache` of completed results
-/// (`result_cache_bytes`). Splitting the lifecycles means dataset, result,
-/// and log traffic never contend on one mutex, and each store owns exactly
-/// one retention policy.
+/// (`result_cache_bytes`). Splitting the lifecycles means dataset and
+/// result traffic never contend on one mutex, and each store owns exactly
+/// one retention policy, its own demotion and reloads, under its own lock.
 ///
 /// With `PlatformOptions::spill_dir` set, the facade additionally owns two
 /// disk `SpillTier`s (`<spill_dir>/datasets`, `<spill_dir>/results`):
@@ -62,7 +59,7 @@ struct DatastoreSpillStats {
 /// flushed to disk by a background thread, payloads stored verbatim;
 /// `Flush()` is the durability barrier. An empty `spill_dir` keeps the
 /// historical drop-on-evict behavior. A `cache/` directory that older
-/// versions left under `spill_dir` is ignored.
+/// versions left under `spill_dir` is removed when the datastore opens.
 ///
 /// Datasets resolve against (a) graphs uploaded at runtime ("users can
 /// upload new datasets") and (b) an optional backing `DatasetCatalog` of
@@ -156,7 +153,7 @@ class Datastore {
   /// result spill tier when one is configured, destroyed otherwise. Their
   /// logs are dropped either way: logs follow the *memory* lifetime (a
   /// reloaded result returns without its log trail).
-  void PutResult(TaskResult result) CYR_EXCLUDES(put_mu_);
+  void PutResult(TaskResult result) { results_.Put(std::move(result)); }
 
   /// The stored result; a result evicted to the spill tier is transparently
   /// reloaded (and re-admitted to the memory tier, possibly demoting the
@@ -166,8 +163,9 @@ class Datastore {
   /// themselves FIFO-bounded, so tasks far past the retention horizon
   /// eventually report `kNotFound` again — the marker set cannot grow
   /// without bound either.)
-  Result<TaskResult> GetResult(const std::string& task_id)
-      CYR_EXCLUDES(put_mu_);
+  Result<TaskResult> GetResult(const std::string& task_id) {
+    return results_.Get(task_id);
+  }
 
   /// True only for live (non-evicted) results.
   bool HasResult(const std::string& task_id) const {
@@ -205,34 +203,23 @@ class Datastore {
 
   /// Appends one log line for `task_id`.
   void AppendLog(const std::string& task_id, std::string line) {
-    logs_.Append(task_id, std::move(line));
+    results_.AppendLog(task_id, std::move(line));
   }
 
   /// All log lines of `task_id`, oldest first (empty if none).
   std::vector<std::string> GetLog(const std::string& task_id) const {
-    return logs_.Get(task_id);
+    return results_.GetLog(task_id);
   }
 
  private:
-  /// Demotes retention-evicted results to the spill tier (when configured)
-  /// and erases their logs; requires `put_mu_`.
-  void DemoteEvictedResultsLocked(std::vector<TaskResult> evicted)
-      CYR_REQUIRES(put_mu_);
-
   DatasetCatalog* catalog_;  // not owned, may be null
   // The spill tiers are declared before the stores so they outlive them:
-  // GraphStore holds a raw pointer into dataset_spill_.
+  // each store holds a raw pointer into its tier.
   std::unique_ptr<SpillTier> dataset_spill_;  ///< null without a spill_dir
   std::unique_ptr<SpillTier> result_spill_;   ///< null without a spill_dir
   GraphStore graphs_;
   ResultStore results_;
-  LogStore logs_;
   ResultCache result_cache_;
-  /// Orders result-write + log-erase pairs, and closes a result's
-  /// memory-to-disk demotion to readers. Outermost of the store locks:
-  /// DemoteEvictedResultsLocked and GetResult reach the result spill tier
-  /// (and its logging) while holding it.
-  mutable Mutex put_mu_{lock_rank::kDatastorePutMu, "Datastore::put_mu_"};
 };
 
 }  // namespace cyclerank

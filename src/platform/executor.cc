@@ -8,6 +8,17 @@
 
 namespace cyclerank {
 
+namespace {
+
+/// The terminal state a task with final status `status` ends in.
+TaskState TerminalStateFor(const Status& status) {
+  if (status.ok()) return TaskState::kCompleted;
+  return status.code() == StatusCode::kCancelled ? TaskState::kCancelled
+                                                 : TaskState::kFailed;
+}
+
+}  // namespace
+
 void Executor::Execute(const std::string& task_id, const TaskSpec& spec,
                        const std::atomic<bool>* cancelled,
                        TaskResult* outcome, const std::string& cache_key) {
@@ -21,11 +32,7 @@ void Executor::Execute(const std::string& task_id, const TaskSpec& spec,
     result.spec = spec;
     result.status = Status::Cancelled("cancelled before start");
     result.seconds = timer.ElapsedSeconds();
-    if (outcome != nullptr) *outcome = result;
-    // Store the result before the terminal transition (like every other
-    // path here): a waiter woken by kCancelled must find the result stored.
-    datastore_->PutResult(std::move(result));
-    (void)status_->SetState(task_id, TaskState::kCancelled);
+    Finish(std::move(result), outcome, cache_key);
     return;
   }
 
@@ -36,28 +43,17 @@ void Executor::Execute(const std::string& task_id, const TaskSpec& spec,
     datastore_->AppendLog(
         task_id, "completed in " + std::to_string(result.seconds) + "s, " +
                      std::to_string(result.ranking.size()) + " ranked nodes");
-    if (outcome != nullptr) *outcome = result;
-    // Publish to the result cache before the terminal state transition:
-    // a waiter woken by kCompleted must already find the result cached.
-    if (!cache_key.empty()) result_cache().Put(cache_key, result);
-    datastore_->PutResult(std::move(result));
-    (void)status_->SetState(task_id, TaskState::kCompleted);
+    Finish(std::move(result), outcome, cache_key);
     return;
   }
 
-  const Status error = run.status();
-  datastore_->AppendLog(task_id, "failed: " + error.ToString());
+  datastore_->AppendLog(task_id, "failed: " + run.status().ToString());
   TaskResult result;
   result.task_id = task_id;
   result.spec = spec;
-  result.status = error;
+  result.status = run.status();
   result.seconds = timer.ElapsedSeconds();
-  if (outcome != nullptr) *outcome = result;
-  datastore_->PutResult(std::move(result));
-  (void)status_->SetState(task_id,
-                          error.code() == StatusCode::kCancelled
-                              ? TaskState::kCancelled
-                              : TaskState::kFailed);
+  Finish(std::move(result), outcome, cache_key);
 }
 
 void Executor::Deliver(const std::string& task_id, const TaskSpec& spec,
@@ -67,16 +63,26 @@ void Executor::Deliver(const std::string& task_id, const TaskSpec& spec,
   TaskResult result = outcome;
   result.task_id = task_id;
   result.spec = spec;
-  const TaskState terminal =
-      outcome.status.ok() ? TaskState::kCompleted
-      : outcome.status.code() == StatusCode::kCancelled ? TaskState::kCancelled
-                                                        : TaskState::kFailed;
   result.seconds = timer.ElapsedSeconds();
   datastore_->AppendLog(
       task_id, "served via " + via + " in " +
                    std::to_string(result.seconds) + "s (computation took " +
                    std::to_string(outcome.seconds) + "s), outcome " +
-                   std::string(TaskStateToString(terminal)));
+                   std::string(TaskStateToString(
+                       TerminalStateFor(outcome.status))));
+  Finish(std::move(result), /*outcome=*/nullptr, /*cache_key=*/{});
+}
+
+void Executor::Finish(TaskResult result, TaskResult* outcome,
+                      const std::string& cache_key) {
+  if (outcome != nullptr) *outcome = result;
+  // Publish and store before the terminal state transition: a waiter woken
+  // by the terminal state must already find the result cached and stored.
+  if (result.status.ok() && !cache_key.empty()) {
+    result_cache().Put(cache_key, result);
+  }
+  const std::string task_id = result.task_id;
+  const TaskState terminal = TerminalStateFor(result.status);
   datastore_->PutResult(std::move(result));
   (void)status_->SetState(task_id, terminal);
 }

@@ -70,6 +70,14 @@ class Executor {
   ResultCache& result_cache() const { return datastore_->result_cache(); }
 
  private:
+  /// Ends a task with its final `result`: copies it to `outcome` (when
+  /// non-null), publishes an OK result keyed by a non-empty `cache_key` to
+  /// the result cache, stores it, and only then sets the terminal state
+  /// its status implies (OK → completed, `kCancelled` → cancelled, any
+  /// other error → failed).
+  void Finish(TaskResult result, TaskResult* outcome,
+              const std::string& cache_key);
+
   /// Runs the fallible part and returns the outcome.
   Result<TaskResult> Run(const std::string& task_id, const TaskSpec& spec,
                          const std::atomic<bool>* cancelled);

@@ -135,8 +135,8 @@ class GraphStore {
 
   const size_t max_bytes_;  // 0 = unbounded
   SpillTier* const spill_;  // not owned, may be null
-  /// Nests *inside* Datastore::put_mu_ and *outside* the spill tier's
-  /// locks (EvictLocked demotes victims to `spill_` under it).
+  /// Nests *outside* the spill tier's locks (EvictLocked demotes victims
+  /// to `spill_` under it).
   mutable Mutex mu_{lock_rank::kGraphStoreMu, "GraphStore::mu_"};
   ByteBudgetedLru<Slot> lru_ CYR_GUARDED_BY(mu_);  ///< memory tier
   ExpiryMarkers evicted_ CYR_GUARDED_BY(mu_);  ///< names answering kExpired
