@@ -45,7 +45,7 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load(path):
-    """Returns (suites, single_core, provenance) for one results file."""
+    """Returns (suites, single_core) for one results file."""
     with open(path) as f:
         data = json.load(f)
     if "suites" in data:
@@ -57,11 +57,7 @@ def load(path):
     cpus = data.get("host_cpus")
     if cpus is None:
         cpus = data.get("context", {}).get("num_cpus")
-    provenance = {key: data.get(key) for key in ("build_type", "cxx_compiler")}
-    if provenance["build_type"] is None:
-        provenance["build_type"] = data.get("context", {}).get(
-            "library_build_type")
-    return suites, cpus == 1, provenance
+    return suites, cpus == 1
 
 
 def normalise(suite, name):
@@ -109,14 +105,11 @@ def main(argv):
         print("usage: tools/bench_diff.py OLD.json NEW.json", file=sys.stderr)
         return 2
     try:
-        old_suites, old_single, old_prov = load(argv[1])
-        new_suites, new_single, new_prov = load(argv[2])
+        old_suites, old_single = load(argv[1])
+        new_suites, new_single = load(argv[2])
     except (OSError, ValueError, KeyError) as error:
         print(f"bench_diff: {error}", file=sys.stderr)
         return 2
-    for key in old_prov:
-        if old_prov[key] != new_prov[key]:
-            print(f"note: {key} differs: {old_prov[key]} vs {new_prov[key]}")
     single_core = old_single or new_single
     old_rows, new_rows = rows(old_suites), rows(new_suites)
     flagged = refused = compared = 0
