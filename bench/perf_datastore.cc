@@ -1,7 +1,8 @@
 // Storage-layer throughput: dataset upload (with and without eviction
-// pressure), pinned snapshot fetches, the text-upload admission path, and
+// pressure), pinned snapshot fetches, the text-upload admission path,
 // the disk spill tier (evict→serialize→write demotions and miss→read→
-// decode reloads, plus the raw graph codec). The PR-4 decomposition split
+// decode reloads, plus the raw graph codec), and the payload checksums and
+// framing an upload pays on the wire. The PR-4 decomposition split
 // the datastore into individually-locked stores; these sweeps bound the
 // fixed cost of the byte-budgeted graph-store layer so retention never
 // becomes the bottleneck of the upload/query hot paths — and put a number
@@ -16,12 +17,15 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "datasets/generators.h"
+#include "net/frame.h"
 #include "platform/datastore.h"
 
 namespace cyclerank {
@@ -423,6 +427,47 @@ BENCHMARK(BM_Datastore_UploadDatasetParse)
     ->Args({2000, 1})
     ->Args({2000, 2})
     ->Unit(benchmark::kMicrosecond);
+
+/// A wiki-like edge list cut to 209,510 bytes, the size of an
+/// `upload_churn` upload body in e2ebench: what the wire checksum covers
+/// twice per upload and the spill checksum once per reload.
+std::string ChurnSizedEdgeList() {
+  std::string body = UploadBody(4000, 1);
+  body.resize(209510);
+  return body;
+}
+
+/// One checksum over the edge list; the bytes/s counter is the hash rate.
+void BM_Checksum(benchmark::State& state,
+                 uint64_t (*checksum)(std::string_view)) {
+  const std::string body = ChurnSizedEdgeList();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum(body));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK_CAPTURE(BM_Checksum, Fnv1a64, &binio::Fnv1a64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Checksum, Xxh64, &binio::Xxh64)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The framing cost of one upload: `EncodeFrame` on the client and
+/// `FrameDecoder::Next` on the server, both of which hash the payload.
+void BM_FrameRoundTrip(benchmark::State& state) {
+  const std::string body = ChurnSizedEdgeList();
+  for (auto _ : state) {
+    net::FrameDecoder decoder(0);
+    decoder.Feed(net::EncodeFrame(0x01, body));
+    net::Frame frame;
+    Status error;
+    benchmark::DoNotOptimize(decoder.Next(&frame, &error));
+    benchmark::DoNotOptimize(frame.payload.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_FrameRoundTrip)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace cyclerank

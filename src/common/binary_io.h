@@ -182,8 +182,10 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// FNV-1a 64-bit hash — the spill tier's payload checksum. Not
-/// cryptographic; it guards against torn writes and bit rot, not attackers.
+/// FNV-1a 64-bit hash, one byte per multiply. Kept only where its value is
+/// already stored: the checksums of CYSP1/CYSP2 spill files, the hashed
+/// names of long spill keys, and v1 ERROR frames. New checksums use
+/// `Xxh64`, which is about 15x faster.
 inline uint64_t Fnv1a64(std::string_view data) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : data) {
@@ -193,12 +195,70 @@ inline uint64_t Fnv1a64(std::string_view data) {
   return hash;
 }
 
+/// XXH64 with seed 0, written from the published specification
+/// (https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md) — the
+/// checksum of CYRQ v2 frames and CYSP3 spill files. Reads 8-byte words
+/// through `memcpy`, so any alignment of `data` is safe. Like FNV-1a it is
+/// not cryptographic: it guards against torn writes and bit rot, not
+/// attackers.
+inline uint64_t Xxh64(std::string_view data) {
+  constexpr uint64_t kP1 = 0x9e3779b185ebca87ull, kP2 = 0xc2b2ae3d27d4eb4full,
+                     kP3 = 0x165667b19e3779f9ull, kP4 = 0x85ebca77c2b2ae63ull,
+                     kP5 = 0x27d4eb2f165667c5ull;
+  const auto load64 = [](const char* at) {
+    uint64_t word;
+    std::memcpy(&word, at, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    return word;
+  };
+  const auto load32 = [](const char* at) {
+    uint32_t word;
+    std::memcpy(&word, at, 4);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap32(word);
+    }
+    return static_cast<uint64_t>(word);
+  };
+  const auto mix = [](uint64_t acc, uint64_t lane) {
+    return std::rotl(acc + lane * kP2, 31) * kP1;
+  };
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  uint64_t acc = kP5;
+  if (data.size() >= 32) {
+    uint64_t lanes[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (; end - p >= 32; p += 32) {
+      for (int i = 0; i < 4; ++i) lanes[i] = mix(lanes[i], load64(p + 8 * i));
+    }
+    acc = std::rotl(lanes[0], 1) + std::rotl(lanes[1], 7) +
+          std::rotl(lanes[2], 12) + std::rotl(lanes[3], 18);
+    for (const uint64_t lane : lanes) acc = (acc ^ mix(0, lane)) * kP1 + kP4;
+  }
+  acc += data.size();
+  for (; end - p >= 8; p += 8) {
+    acc = std::rotl(acc ^ mix(0, load64(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    acc = std::rotl(acc ^ (load32(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    acc = std::rotl(acc ^ (static_cast<unsigned char>(*p) * kP5), 11) * kP1;
+  }
+  acc = (acc ^ (acc >> 33)) * kP2;
+  acc = (acc ^ (acc >> 29)) * kP3;
+  return acc ^ (acc >> 32);
+}
+
 // -------------------------------------------------------------------------
 // Block decoding — the payload framing of CYSP2 spill files.
 //
-// Writers store every payload verbatim (mode 0). Older versions also wrote
-// LZ blocks (mode 1); a file holding one may be the only copy of an
-// upload, so the decoder still reads both.
+// No writer makes blocks any more (CYSP3 files hold the raw payload). CYSP2
+// writers stored payloads verbatim (mode 0), and older ones as LZ blocks
+// (mode 1); a file holding either may be the only copy of an upload, so
+// the decoder still reads both.
 //
 // Block layout:
 //   mode byte            0 = stored, 1 = LZ

@@ -16,14 +16,23 @@ namespace {
 /// across reads.
 constexpr size_t kMaxVarintBytes = 10;
 
+/// The framing every version reads for ERROR frames (see frame.h).
+constexpr uint8_t kV1 = 1;
+
+/// The payload checksum of a frame framed as `version`.
+uint64_t FrameChecksum(uint8_t version, std::string_view payload) {
+  return version == kV1 ? binio::Fnv1a64(payload) : binio::Xxh64(payload);
+}
+
 }  // namespace
 
 void AppendFrame(uint8_t type, std::string_view payload, std::string* out) {
+  const uint8_t version = type == kErrorFrameType ? kV1 : kProtocolVersion;
   out->append(kFrameMagic, sizeof(kFrameMagic));
-  out->push_back(static_cast<char>(kProtocolVersion));
+  out->push_back(static_cast<char>(version));
   out->push_back(static_cast<char>(type));
   binio::AppendVarint(out, payload.size());
-  binio::AppendU64(out, binio::Fnv1a64(payload));
+  binio::AppendU64(out, FrameChecksum(version, payload));
   out->append(payload.data(), payload.size());
 }
 
@@ -70,18 +79,19 @@ FrameDecoder::Outcome FrameDecoder::Next(Frame* frame, Status* error) {
                   error);
   }
   const uint8_t version = static_cast<unsigned char>(pending[4]);
-  if (version != kProtocolVersion) {
+  const uint8_t type = static_cast<unsigned char>(pending[5]);
+  if (version != kProtocolVersion &&
+      !(version == kV1 && type == kErrorFrameType)) {
     // An unknown version may frame its bytes differently, so nothing after
     // this byte can be trusted — reject instead of guessing. The peer
-    // answers with an ERROR frame (v1 framing, which any future version
-    // must still parse far enough to read — see docs/PROTOCOL.md).
+    // answers with an ERROR frame (v1 framing, which every version reads —
+    // see docs/PROTOCOL.md).
     return Poison(Status::Unimplemented(
                       "net: unsupported protocol version " +
                       std::to_string(version) + " (this build speaks " +
                       std::to_string(kProtocolVersion) + ")"),
                   error);
   }
-  const uint8_t type = static_cast<unsigned char>(pending[5]);
 
   // Decode the length varint by hand: binio::Reader cannot distinguish "a
   // truncated buffer" (wait for more bytes) from "10 bytes without a
@@ -126,7 +136,7 @@ FrameDecoder::Outcome FrameDecoder::Next(Frame* frame, Status* error) {
   checksum_reader.ReadU64(&declared_checksum);  // 8 bytes present by now
   const std::string_view payload =
       pending.substr(header_bytes, static_cast<size_t>(payload_len));
-  if (binio::Fnv1a64(payload) != declared_checksum) {
+  if (FrameChecksum(version, payload) != declared_checksum) {
     return Poison(
         Status::ParseError("net: frame checksum mismatch (corrupt stream)"),
         error);

@@ -12,19 +12,25 @@ namespace cyclerank {
 namespace net {
 
 /// CYRQ1 message framing — the length-prefixed binary envelope every byte
-/// on a platform TCP connection travels in. Normative spec:
-/// docs/PROTOCOL.md (§ "Frame layout"); this header is its implementation.
+/// on a platform TCP connection travels in. (The protocol keeps the name
+/// CYRQ1 across framing versions.) Normative spec: docs/PROTOCOL.md
+/// (§ "Frame layout"); this header is its implementation.
 ///
 /// Layout (all multi-byte integers little-endian, as everywhere in
 /// common/binary_io.h):
 ///
 ///   offset  size     field
 ///   0       4        magic "CYRQ"
-///   4       1        protocol version (0x01)
+///   4       1        protocol version (0x02)
 ///   5       1        message type (net/messages.h)
 ///   6       1..10    payload length, LEB128 varint
-///   ...     8        FNV-1a 64-bit checksum of the payload bytes
+///   ...     8        XXH64 (seed 0) of the payload bytes
 ///   ...     length   payload
+///
+/// ERROR frames (type 0x7f) are the one exception: they always travel in
+/// v1 framing — version 0x01 and an FNV-1a 64 checksum, otherwise the same
+/// layout — so that a peer of any version can read why it is being
+/// disconnected, even when the sender has not yet seen a byte from it.
 ///
 /// The checksum guards against stream corruption (same posture as the
 /// spill-tier file format): a frame whose payload hashes differently is a
@@ -33,10 +39,15 @@ namespace net {
 /// The 4 magic bytes opening every frame.
 inline constexpr char kFrameMagic[4] = {'C', 'Y', 'R', 'Q'};
 
-/// The protocol version this build speaks. Frames declaring any other
-/// version are rejected with `kUnimplemented` — see docs/PROTOCOL.md
-/// (§ "Versioning") for the compatibility policy.
-inline constexpr uint8_t kProtocolVersion = 1;
+/// The protocol version this build speaks. A decoder accepts it for every
+/// frame type and v1 framing for ERROR frames only; any other version is
+/// rejected with `kUnimplemented` — see docs/PROTOCOL.md (§ "Versioning")
+/// for the compatibility policy.
+inline constexpr uint8_t kProtocolVersion = 2;
+
+/// The ERROR frame's type byte (`net::kError`): the one type every version
+/// sends and reads in v1 framing.
+inline constexpr uint8_t kErrorFrameType = 0x7f;
 
 /// Magic + version + type — the fixed bytes before the varint length.
 inline constexpr size_t kFrameFixedHeaderBytes = 6;

@@ -49,7 +49,8 @@ enum MsgType : uint8_t {
   /// Server-initiated terminal-state push (no request id: unsolicited).
   kEvent = 0x70,
   /// Protocol-level failure: undecodable payload, unknown type, overload.
-  kError = 0x7f,
+  /// Always sent in v1 framing (net/frame.h).
+  kError = kErrorFrameType,
 
   kUploadDatasetResp = kUploadDatasetReq | 0x80,
   kSubmitQuerySetResp = kSubmitQuerySetReq | 0x80,

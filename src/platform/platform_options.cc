@@ -132,7 +132,7 @@ Result<PlatformOptions> PlatformOptions::FromString(std::string_view text) {
       }
     } else if (key == "spill_compression") {
       // Accepted for old configs and ignored, whatever its boolean value:
-      // spill payloads are always written as stored blocks.
+      // spill payloads are always written uncompressed.
       const std::string lowered = AsciiToLower(value);
       if (lowered != "true" && lowered != "1" && lowered != "false" &&
           lowered != "0") {

@@ -87,8 +87,8 @@ struct PlatformOptions {
   /// never invisible. Past the bound demotion blocks until the flusher
   /// catches up (backpressure). `FromString` rejects 0: there is no
   /// synchronous mode; `Datastore::Flush()` is the durability barrier.
-  /// Payloads are written as stored blocks; the LZ-compressed and
-  /// unframed files of older processes still load.
+  /// Payloads are written raw (CYSP3); the block-framed, LZ-compressed
+  /// and unframed files of older processes still load.
   size_t spill_write_behind_bytes = 32u << 20;  // 32 MiB
 
   /// Retries after a failed spill disk operation (write or read) before

@@ -16,22 +16,23 @@
 namespace cyclerank {
 namespace {
 
-/// Spill file layouts (all integers little-endian).
+/// Spill file layouts (all integers little-endian). Three magics, two
+/// body forms, two checksums; only CYSP3 is written. The older two are
+/// read forever: a spill directory from an older process may hold the only
+/// copy of an upload.
 ///
-/// v1 (unframed — no longer written, but read forever: a spill directory
-/// from an older process may hold the only copy of an upload):
-///   magic "CYSP1\n"                        6 bytes
+/// CYSP3 (written) and CYSP1 (read only) — raw body:
+///   magic "CYSP3\n" / "CYSP1\n"            6 bytes
 ///   meta word (opaque to the tier)         u64
-///   FNV-1a 64 checksum of the payload      u64
+///   payload checksum                       u64   CYSP3: XXH64, CYSP1: FNV-1a
 ///   original key                           u64 length + bytes
 ///   payload                                u64 length + bytes
 ///
-/// v2 (the only format written): the payload travels as a `binio` block
-/// and the checksum covers the *raw* payload, so bit-rot detection is
-/// identical to v1; the raw size travels in the header so recovery can
-/// account payload bytes without decoding anything. Writers store the
-/// payload verbatim (mode 0); older versions also wrote LZ blocks (mode 1),
-/// which `binio::DecompressBlock` still reads:
+/// CYSP2 (read only) — block body: the payload travels as a `binio` block
+/// and the checksum covers the *raw* payload; the raw size travels in the
+/// header so recovery can account payload bytes without decoding anything.
+/// Its writers stored the payload verbatim (mode 0) or, in older versions,
+/// as an LZ block (mode 1); `binio::DecompressBlock` reads both:
 ///   magic "CYSP2\n"                        6 bytes
 ///   meta word                              u64
 ///   FNV-1a 64 checksum of the RAW payload  u64
@@ -41,7 +42,17 @@ namespace {
 ///
 /// The key is stored *in* the file, so recovery never has to invert the
 /// filename encoding, and a renamed file still identifies itself.
-constexpr std::string_view kSpillMagicV2 = "CYSP2\n";
+struct SpillFormat {
+  std::string_view magic;
+  bool block_body;                         ///< CYSP2's block vs raw bytes
+  uint64_t (*checksum)(std::string_view);  ///< over the raw payload
+};
+constexpr SpillFormat kSpillFormats[] = {
+    {"CYSP3\n", false, binio::Xxh64},    // the only format written
+    {"CYSP2\n", true, binio::Fnv1a64},   // read only
+    {"CYSP1\n", false, binio::Fnv1a64},  // read only
+};
+constexpr const SpillFormat& kWrittenSpillFormat = kSpillFormats[0];
 constexpr size_t kMagicBytes = 6;
 constexpr size_t kFixedHeaderBytes = kMagicBytes + 8 + 8;  // magic+meta+sum
 
@@ -99,16 +110,16 @@ std::string SpillFileName(const std::string& key) {
 
 /// A spill file's header: every field but the payload bytes.
 struct SpillFileHeader {
-  bool v2 = false;          ///< v2 (block body) vs v1 (raw body)
+  const SpillFormat* format = nullptr;  ///< which magic the file opens with
   uint64_t meta = 0;
-  uint64_t checksum = 0;    ///< FNV-1a 64 of the raw payload
+  uint64_t checksum = 0;    ///< `format->checksum` of the raw payload
   std::string key;
   uint64_t raw_bytes = 0;   ///< decoded payload size
   uint64_t file_bytes = 0;  ///< size of the whole file
-  size_t body_offset = 0;   ///< start of the payload (v1) or block (v2)
+  size_t body_offset = 0;   ///< start of the payload (raw) or block
 };
 
-/// The one decoder of both header layouts, shared by the recovery scan
+/// The one decoder of every header layout, shared by the recovery scan
 /// (which reads only file prefixes) and `Get` (which has the whole file).
 /// `read_prefix(n)` yields the file's first `n` bytes, fewer if it is
 /// shorter; `file_bytes` is its size. Validates the magic, the key length,
@@ -119,7 +130,6 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
     uint64_t file_bytes,
     const std::function<Result<std::string>(size_t)>& read_prefix,
     std::string* why) {
-  constexpr std::string_view kSpillMagicV1 = "CYSP1\n";  // read-only
   constexpr size_t key_offset = kFixedHeaderBytes + 8;  // after key length
   Result<std::string> fixed = read_prefix(key_offset);
   if (!fixed.ok()) {
@@ -134,12 +144,14 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
       std::string_view(*fixed).substr(0, kMagicBytes);
   SpillFileHeader header;
   header.file_bytes = file_bytes;
-  if (magic == kSpillMagicV2) {
-    header.v2 = true;
-  } else if (magic != kSpillMagicV1) {
+  for (const SpillFormat& format : kSpillFormats) {
+    if (magic == format.magic) header.format = &format;
+  }
+  if (header.format == nullptr) {
     *why = "bad magic";
     return std::nullopt;
   }
+  const bool block_body = header.format->block_body;
   binio::Reader reader(std::string_view(*fixed).substr(kMagicBytes));
   uint64_t key_len = 0;
   (void)reader.ReadU64(&header.meta);
@@ -149,10 +161,10 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
     *why = "key length exceeds the file";
     return std::nullopt;
   }
-  // v1 carries one length word after the key (payload), v2 two (raw size
-  // + encoded block length).
+  // A raw body has one length word after the key (payload), a block body
+  // two (raw size + encoded block length).
   header.body_offset = key_offset + static_cast<size_t>(key_len) +
-                       (header.v2 ? 16 : 8);
+                       (block_body ? 16 : 8);
   Result<std::string> head = read_prefix(header.body_offset);
   if (!head.ok()) {
     *why = "unreadable (" + head.status().message() + ")";
@@ -166,9 +178,9 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   binio::Reader tail_reader(std::string_view(*head).substr(
       key_offset + static_cast<size_t>(key_len)));
   uint64_t body_len = 0;
-  if (header.v2) (void)tail_reader.ReadU64(&header.raw_bytes);
+  if (block_body) (void)tail_reader.ReadU64(&header.raw_bytes);
   (void)tail_reader.ReadU64(&body_len);
-  if (!header.v2) header.raw_bytes = body_len;
+  if (!block_body) header.raw_bytes = body_len;
   if (body_len != file_bytes - header.body_offset) {
     *why = "payload length disagrees with the file size (truncated write?)";
     return std::nullopt;
@@ -176,23 +188,16 @@ std::optional<SpillFileHeader> DecodeSpillHeader(
   return header;
 }
 
-/// The on-disk image of one entry: the v2 header + the payload as a stored
-/// block.
+/// The on-disk image of one entry: a CYSP3 header + the raw payload.
 std::string EncodeSpillFile(const std::string& key, std::string_view raw,
                             uint64_t meta) {
-  std::string block_head(1, binio::kBlockStored);
-  binio::AppendVarint(&block_head, raw.size());
   std::string file;
-  file.reserve(kFixedHeaderBytes + 24 + key.size() + block_head.size() +
-               raw.size());
-  file.append(kSpillMagicV2);
+  file.reserve(kFixedHeaderBytes + 16 + key.size() + raw.size());
+  file.append(kWrittenSpillFormat.magic);
   binio::AppendU64(&file, meta);
-  binio::AppendU64(&file, binio::Fnv1a64(raw));
+  binio::AppendU64(&file, kWrittenSpillFormat.checksum(raw));
   binio::AppendString(&file, key);
-  binio::AppendU64(&file, raw.size());
-  binio::AppendU64(&file, block_head.size() + raw.size());
-  file.append(block_head);
-  file.append(raw);
+  binio::AppendString(&file, raw);
   return file;
 }
 
@@ -702,13 +707,13 @@ Result<SpillTier::Loaded> SpillTier::Get(const std::string& key) {
       std::string_view(file).substr(header->body_offset);
   Loaded loaded;
   loaded.meta = header->meta;
-  if (!header->v2) {
+  if (!header->format->block_body) {
     loaded.payload.assign(body);
   } else if (!binio::DecompressBlock(body, &loaded.payload) ||
              loaded.payload.size() != header->raw_bytes) {
     return corrupt("payload block does not decode");
   }
-  if (binio::Fnv1a64(loaded.payload) != header->checksum) {
+  if (header->format->checksum(loaded.payload) != header->checksum) {
     return corrupt("payload checksum mismatch");
   }
   ++stats_.reloads;

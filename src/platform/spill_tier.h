@@ -128,12 +128,11 @@ void RemoveSpillLeftover(Env* env, const std::string& path);
 ///   and `Flush()` is the durability barrier: an entry is on disk once
 ///   `Put` and a later `Flush()` both returned OK. Past the
 ///   `write_behind_bytes` bound `Put` blocks until the flusher catches up.
-/// - **Stored blocks**: every file is written in the v2 framing with the
-///   payload as a stored block (`binio` mode 0) and the checksum computed
-///   over the raw payload. Older versions wrote LZ blocks; those files and
-///   v1 (unframed) files are no longer written but load forever, and a
-///   block that does not decode degrades to a miss exactly like a checksum
-///   mismatch.
+/// - **File formats**: every file is written as CYSP3 — the raw payload
+///   with an XXH64 checksum. Older versions wrote CYSP1 (raw payload) and
+///   CYSP2 (stored or LZ blocks), both with FNV-1a checksums; those files
+///   are no longer written but load forever, and a block that does not
+///   decode degrades to a miss exactly like a checksum mismatch.
 /// - **Misses**: `Get`, `Contains` and `Meta` answer a key that was never
 ///   stored from the write-behind buffer and the index, without touching
 ///   the filesystem.

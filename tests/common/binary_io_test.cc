@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -122,6 +123,32 @@ TEST(VarintTest, RoundTripsBoundaryValues) {
   binio::Reader truncated(std::string_view("\x80"));
   uint64_t decoded = 0;
   EXPECT_FALSE(truncated.ReadVarint(&decoded));
+}
+
+TEST(Xxh64Test, MatchesTheSpecificationVectors) {
+  // Seed-0 XXH64 values of the reference implementation. The 39-byte input
+  // runs the four-lane loop once, then the 8-, 4- and 1-byte tails.
+  EXPECT_EQ(binio::Xxh64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(binio::Xxh64("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(binio::Xxh64("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(binio::Xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(Xxh64Test, UnalignedInputHashesLikeAligned) {
+  // Every length through three full stripes plus every tail, read at an
+  // odd address and at an 8-byte-aligned one.
+  alignas(8) char aligned[112];
+  alignas(8) char shifted[113];
+  for (size_t i = 0; i < sizeof(aligned); ++i) {
+    aligned[i] = static_cast<char>(i * 37 + 11);
+    shifted[i + 1] = aligned[i];
+  }
+  for (size_t len = 0; len <= 100; ++len) {
+    EXPECT_EQ(binio::Xxh64(std::string_view(shifted + 1, len)),
+              binio::Xxh64(std::string_view(aligned, len)))
+        << "length " << len;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "net/messages.h"
 #include "platform/task.h"
 
@@ -95,9 +96,81 @@ TEST(FrameTest, BadMagicPoisons) {
 
 TEST(FrameTest, UnsupportedVersionPoisons) {
   std::string bytes = EncodeFrame(0x01, "payload");
-  bytes[4] = 2;  // future version
+  bytes[4] = 3;  // future version
   FrameDecoder decoder(0);
   decoder.Feed(bytes);
+  Frame frame;
+  Status error;
+  EXPECT_EQ(decoder.Next(&frame, &error),
+            FrameDecoder::Outcome::kProtocolError);
+  EXPECT_EQ(error.code(), StatusCode::kUnimplemented);
+}
+
+/// `payload` framed by hand in v1 framing: version 0x01 and an FNV-1a 64
+/// checksum, the layout every version reads for ERROR frames.
+std::string V1Frame(uint8_t type, const std::string& payload) {
+  std::string bytes = "CYRQ";
+  bytes.push_back(0x01);
+  bytes.push_back(static_cast<char>(type));
+  binio::AppendVarint(&bytes, payload.size());
+  binio::AppendU64(&bytes, binio::Fnv1a64(payload));
+  return bytes + payload;
+}
+
+/// Lower-case hex of `bytes`, one space between bytes.
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (!out.empty()) out += ' ';
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xf];
+  }
+  return out;
+}
+
+TEST(FrameTest, V2StatsRequestBytesArePinned) {
+  // Magic, version 0x02, type STATS, length 8, the XXH64 of the payload,
+  // then request_id=1. The worked example in docs/PROTOCOL.md.
+  EXPECT_EQ(Hex(EncodeStatsRequest({1})),
+            "43 59 52 51 02 08 08 95 99 a4 a2 17 cb 29 9f 01 00 00 00 00 00 "
+            "00 00");
+}
+
+TEST(FrameTest, ErrorFramesTravelInV1Framing) {
+  ErrorMessage msg;
+  msg.request_id = 5;
+  msg.status = Status::Unavailable("busy");
+  const std::string bytes = EncodeErrorMessage(msg);
+  FrameDecoder decoder(0);
+  decoder.Feed(bytes);
+  const Frame frame = MustDecodeOne(decoder);
+  EXPECT_EQ(bytes, V1Frame(kError, frame.payload));
+}
+
+TEST(FrameTest, V1ErrorFrameStillDecodes) {
+  // An ERROR payload spelled out: request_id 9, status code byte, then the
+  // length-prefixed message.
+  std::string payload;
+  binio::AppendU64(&payload, 9);
+  payload.push_back(static_cast<char>(StatusCode::kUnavailable));
+  binio::AppendString(&payload, "server at max_connections");
+  FrameDecoder decoder(0);
+  decoder.Feed(V1Frame(kError, payload));
+  const Frame frame = MustDecodeOne(decoder);
+  EXPECT_EQ(frame.type, kError);
+  const ErrorMessage decoded = DecodeErrorMessage(frame.payload).value();
+  EXPECT_EQ(decoded.request_id, 9u);
+  EXPECT_EQ(decoded.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(decoded.status.message(), "server at max_connections");
+}
+
+TEST(FrameTest, V1FrameOfAnotherTypePoisons) {
+  std::string payload;
+  binio::AppendU64(&payload, 1);
+  FrameDecoder decoder(0);
+  decoder.Feed(V1Frame(kStatsReq, payload));
   Frame frame;
   Status error;
   EXPECT_EQ(decoder.Next(&frame, &error),

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "graph/graph_builder.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -280,6 +281,48 @@ TEST_F(NetE2eTest, GarbageBytesGetAnErrorFrameNotACrash) {
   NetClient client = Connect();
   EXPECT_TRUE(client.Stats().ok());
   EXPECT_GE(server_->stats().protocol_errors, 1u);
+}
+
+TEST_F(NetE2eTest, V1PeerGetsAV1ErrorFrameThenClose) {
+  // A STATS request from a v1 peer: version 0x01, FNV-1a checksum.
+  std::string payload;
+  binio::AppendU64(&payload, 1);
+  std::string request = "CYRQ\x01";
+  request.push_back(static_cast<char>(kStatsReq));
+  binio::AppendVarint(&request, payload.size());
+  binio::AppendU64(&request, binio::Fnv1a64(payload));
+  request += payload;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  ASSERT_GT(::send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+
+  // One ERROR frame the v1 peer can read, then the server closes.
+  std::string received;
+  char buf[1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    received.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_GE(received.size(), 6u);
+  EXPECT_EQ(received.substr(0, 6), "CYRQ\x01\x7f");
+  FrameDecoder decoder(0);
+  decoder.Feed(received);
+  Frame frame;
+  Status error;
+  ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Outcome::kFrame);
+  EXPECT_EQ(DecodeErrorMessage(frame.payload).value().status.code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);  // nothing after the ERROR
 }
 
 TEST_F(NetE2eTest, TruncatedAndOversizedFramesNeverKillTheServer) {

@@ -433,17 +433,16 @@ TEST(SpillTierWriteBehindTest, OversizePayloadPrunedOnFlush) {
 TEST(SpillTierCompressionTest, RepetitivePayloadIsStoredVerbatim) {
   const std::string dir = FreshSpillDir("cmp_roundtrip");
   SpillTier tier(dir, SpillTierOptions{}, "dataset");
-  // Even a payload an LZ coder would shrink is written as a stored block:
-  // 51 header bytes for key "k" and a 160,000-byte payload, then the
-  // payload verbatim.
+  // Even a payload an LZ coder would shrink is written verbatim: 39
+  // header bytes for key "k" and a 160,000-byte payload, then the payload.
   std::string payload;
   for (uint32_t i = 0; i < 20000; ++i) payload += "abcdefgh";
   ASSERT_TRUE(PutAndFlush(tier, "k", payload, 9).ok());
   const SpillTierStats stats = tier.stats();
   EXPECT_EQ(stats.raw_bytes, payload.size());
-  EXPECT_EQ(stats.bytes, payload.size() + 51);
+  EXPECT_EQ(stats.bytes, payload.size() + 39);
   const std::string file = OnlySpillFileBytes(dir);
-  EXPECT_EQ(file.substr(51), payload);
+  EXPECT_EQ(file.substr(39), payload);
   const SpillTier::Loaded loaded = tier.Get("k").value();
   EXPECT_EQ(loaded.payload, payload);
   EXPECT_EQ(loaded.meta, 9u);
@@ -530,43 +529,91 @@ TEST(SpillTierCompressionTest, CorruptCompressedPayloadDegradesToMiss) {
   }
 }
 
-TEST(SpillTierCompressionTest, V2FileBytesArePinned) {
-  // FNV-1a of the whole CYSP2 file written for a fixed (key, payload,
-  // meta). A change to the header layout, the checksum, or the block
-  // framing changes it. (An LZ-block file, which writers no longer make, is
-  // pinned as a read fixture: `LzBlockFilesStillLoad`.)
-  const std::string dir = FreshSpillDir("format_v2_golden");
-  {
-    SpillTier tier(dir, SpillTierOptions{}, "dataset");
-    ASSERT_TRUE(tier.Put("golden/key 1", IncompressibleBytes(600, 16),
-                         0x0123456789abcdefull)
-                    .ok());
-    ASSERT_TRUE(tier.Flush().ok());
-  }
-  const std::string file = OnlySpillFileBytes(dir);
-  ASSERT_EQ(file.substr(0, 6), "CYSP2\n");
-  EXPECT_EQ(file.size(), 661u);
-  EXPECT_EQ(binio::Fnv1a64(file), 0x3164dcce76614fb2ull)
-      << std::hex << "0x" << binio::Fnv1a64(file);
-}
-
-/// Appends `v` little-endian, spelled out byte by byte so the CYSP1 layout
-/// is pinned independently of the codec helpers under test.
+/// Appends `v` little-endian, spelled out byte by byte so the file layouts
+/// are pinned independently of the codec helpers under test.
 void AppendLe64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-/// A hand-encoded CYSP1 (uncompressed, no longer written) spill file.
-std::string EncodeV1File(const std::string& key, const std::string& payload,
-                         uint64_t meta) {
-  std::string file = "CYSP1\n";
+/// A hand-encoded raw-body spill file: CYSP1 (FNV-1a, no longer written)
+/// or CYSP3 (XXH64, the format written).
+std::string EncodeRawBodyFile(const std::string& magic, uint64_t checksum,
+                              const std::string& key,
+                              const std::string& payload, uint64_t meta) {
+  std::string file = magic;
   AppendLe64(&file, meta);
-  AppendLe64(&file, binio::Fnv1a64(payload));
+  AppendLe64(&file, checksum);
   AppendLe64(&file, key.size());
   file += key;
   AppendLe64(&file, payload.size());
   file += payload;
   return file;
+}
+
+std::string EncodeV1File(const std::string& key, const std::string& payload,
+                         uint64_t meta) {
+  return EncodeRawBodyFile("CYSP1\n", binio::Fnv1a64(payload), key, payload,
+                           meta);
+}
+
+/// A hand-encoded CYSP2 file (no longer written) holding the payload as a
+/// stored block.
+std::string EncodeV2File(const std::string& key, const std::string& payload,
+                         uint64_t meta) {
+  std::string block(1, '\0');  // stored
+  binio::AppendVarint(&block, payload.size());
+  block += payload;
+  std::string file = "CYSP2\n";
+  AppendLe64(&file, meta);
+  AppendLe64(&file, binio::Fnv1a64(payload));
+  AppendLe64(&file, key.size());
+  file += key;
+  AppendLe64(&file, payload.size());
+  AppendLe64(&file, block.size());
+  return file + block;
+}
+
+/// The (key, payload, meta) of the pinned CYSP2 and CYSP3 files.
+const std::string kGoldenKey = "golden/key 1";
+constexpr uint64_t kGoldenMeta = 0x0123456789abcdefull;
+std::string GoldenPayload() { return IncompressibleBytes(600, 16); }
+
+TEST(SpillTierCompressionTest, V2FileBytesArePinned) {
+  // The CYSP2 file older versions wrote for the golden entry: the payload
+  // as a stored block. Writers no longer make it, but it must keep loading.
+  // (An LZ-block CYSP2 file is pinned too: `LzBlockFilesStillLoad`.)
+  const std::string payload = GoldenPayload();
+  const std::string file = EncodeV2File(kGoldenKey, payload, kGoldenMeta);
+  ASSERT_EQ(file.size(), 661u);
+  ASSERT_EQ(binio::Fnv1a64(file), 0x3164dcce76614fb2ull)
+      << std::hex << "0x" << binio::Fnv1a64(file);
+  const std::string dir = LzFixtureDir("format_v2_golden", file);
+  SpillTier tier(dir, SpillTierOptions{}, "dataset");
+  EXPECT_EQ(tier.stats().recovered_files, 1u);
+  EXPECT_EQ(tier.stats().bytes, 661u);
+  EXPECT_EQ(tier.stats().raw_bytes, payload.size());
+  const SpillTier::Loaded loaded = tier.Get(kGoldenKey).value();
+  EXPECT_EQ(loaded.payload, payload);
+  EXPECT_EQ(loaded.meta, kGoldenMeta);
+}
+
+TEST(SpillTierCompressionTest, V3FileBytesArePinned) {
+  // The CYSP3 file written for the golden entry: the CYSP2 file above less
+  // its 11 block bytes (raw-size word, mode byte, size varint), with an
+  // XXH64 checksum. A change to the header layout or the checksum changes
+  // the FNV-1a of the whole file.
+  const std::string dir = FreshSpillDir("format_v3_golden");
+  {
+    SpillTier tier(dir, SpillTierOptions{}, "dataset");
+    ASSERT_TRUE(tier.Put(kGoldenKey, GoldenPayload(), kGoldenMeta).ok());
+    ASSERT_TRUE(tier.Flush().ok());
+  }
+  const std::string file = OnlySpillFileBytes(dir);
+  EXPECT_EQ(file, EncodeRawBodyFile("CYSP3\n", binio::Xxh64(GoldenPayload()),
+                                    kGoldenKey, GoldenPayload(), kGoldenMeta));
+  EXPECT_EQ(file.size(), 650u);
+  EXPECT_EQ(binio::Fnv1a64(file), 0xb70d1003728e28b3ull)
+      << std::hex << "0x" << binio::Fnv1a64(file);
 }
 
 TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
@@ -599,12 +646,12 @@ TEST(SpillTierCompressionTest, UncompressedV1FilesStillLoad) {
   EXPECT_FALSE(tier.Contains("rot"));
   EXPECT_FALSE(fs::exists(fs::path(dir) / "rot.spill"));
 
-  // New writes are v2 and coexist with the v1 file across a restart.
+  // New writes are CYSP3 and coexist with the v1 file across a restart.
   ASSERT_TRUE(PutAndFlush(tier, "new", payload, 8).ok());
   std::ifstream written(fs::path(dir) / "new.spill", std::ios::binary);
   std::string magic(6, '\0');
   written.read(magic.data(), 6);
-  EXPECT_EQ(magic, "CYSP2\n");
+  EXPECT_EQ(magic, "CYSP3\n");
   SpillTier revived(dir, SpillTierOptions{}, "dataset");
   EXPECT_EQ(revived.stats().recovered_files, 2u);
   EXPECT_EQ(revived.stats().skipped_corrupt_files, 0u);
@@ -661,11 +708,11 @@ TEST(SpillTierTest, SpillDirOfTheOlderLayoutRecovers) {
   const std::vector<std::string> keys = {"a1", "b2", "c1", "d2"};
   for (const std::string sub : {"datasets", "results", "cache"}) {
     const std::string dir = root + "/" + sub;
-    {
-      SpillTier writer(dir, SpillTierOptions{}, sub);  // CYSP2 files
-      ASSERT_TRUE(PutAndFlush(writer, "b2", payload_of(sub, "b2"), 2).ok());
-      ASSERT_TRUE(PutAndFlush(writer, "d2", payload_of(sub, "d2"), 4).ok());
-    }
+    fs::create_directories(dir);
+    std::ofstream(fs::path(dir) / "b2.spill", std::ios::binary)
+        << EncodeV2File("b2", payload_of(sub, "b2"), 2);
+    std::ofstream(fs::path(dir) / "d2.spill", std::ios::binary)
+        << EncodeV2File("d2", payload_of(sub, "d2"), 4);
     std::ofstream(fs::path(dir) / "a1.spill", std::ios::binary)
         << EncodeV1File("a1", payload_of(sub, "a1"), 1);
     std::ofstream(fs::path(dir) / "c1.spill", std::ios::binary)
