@@ -77,6 +77,10 @@ inline constexpr int kResultCacheMu = 420;
 inline constexpr int kCatalogMu = 440;
 inline constexpr int kRegistryMu = 450;
 inline constexpr int kStatusServiceMu = 460;
+/// `Executor::kernel_seconds_mu_` — the per-algorithm kernel-seconds
+/// estimates. A leaf: it wraps nothing, and the executor may take it under
+/// `Scheduler::mu_` on the pool-refused shutdown path.
+inline constexpr int kKernelSecondsMu = 470;
 
 /// `SpillTier::buffer_mu_` then `SpillTier::mu_` — the tier's documented
 /// fixed internal order (write-behind buffer before disk index). Below the

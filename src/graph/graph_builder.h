@@ -27,7 +27,8 @@ struct GraphBuildOptions {
   /// The most nodes a graph may have. Each reader checks a declared count
   /// where it parses it, and `Build` checks the implied one, before either
   /// allocates for it. `Datastore::UploadDataset` lowers it to what the
-  /// graph-store budget can hold; the default is the whole `NodeId` range.
+  /// graph-store budget can hold (2^28 without a budget); the default is
+  /// the whole `NodeId` range.
   uint64_t max_nodes = kInvalidNode;
 
   /// OK when a graph of `nodes` nodes fits `max_nodes` (and `NodeId`);

@@ -11,6 +11,11 @@ namespace cyclerank {
 
 namespace {
 
+/// Node ceiling of an upload when no graph-store budget is set: 2^28 nodes,
+/// 4 GiB of CSR offsets at 16 bytes a node. Without it a 13-byte body such
+/// as `4294967294,0` would ask for two 32 GiB offset arrays.
+constexpr uint64_t kUnbudgetedMaxNodes = uint64_t{1} << 28;
+
 /// One spill tier per payload kind, as `<spill_dir>/<subdir>`; null when
 /// spilling is disabled (empty `spill_dir`). Every tier inherits the
 /// write-behind buffer bound and the failure-handling knobs (retry
@@ -119,7 +124,7 @@ Status Datastore::UploadDataset(const std::string& name,
   // graph of more than budget / 16 nodes could never be stored: the reader
   // refuses it before allocating for it.
   GraphBuildOptions build;
-  if (budget != 0) build.max_nodes = budget / 16;
+  build.max_nodes = budget != 0 ? budget / 16 : kUnbudgetedMaxNodes;
   CYCLERANK_ASSIGN_OR_RETURN(Graph graph, ReadGraphFromString(content, build));
   return PutDataset(name, std::make_shared<Graph>(std::move(graph)));
 }

@@ -111,7 +111,8 @@ class Datastore {
   /// on the exact `MemoryBytes` figure. With a budget, the reader also
   /// refuses a graph of more than `budget / 16` nodes (declared or implied)
   /// with `kInvalidArgument` before allocating for it: such a graph could
-  /// never fit, since each node costs 16 bytes of CSR offsets.
+  /// never fit, since each node costs 16 bytes of CSR offsets. Without a
+  /// budget the ceiling is a fixed 2^28 nodes (4 GiB of offsets).
   Status UploadDataset(const std::string& name, const std::string& content);
 
   /// Fetches a dataset: uploaded first, then the backing catalog. Fetching

@@ -1,5 +1,6 @@
 #include "platform/executor.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/parallel_for.h"
@@ -9,6 +10,9 @@
 namespace cyclerank {
 
 namespace {
+
+/// Weight of the newest sample in the kernel-seconds moving average.
+constexpr double kKernelSecondsWeight = 1.0 / 8;
 
 /// The terminal state a task with final status `status` ends in.
 TaskState TerminalStateFor(const Status& status) {
@@ -87,6 +91,20 @@ void Executor::Finish(TaskResult result, TaskResult* outcome,
   (void)status_->SetState(task_id, terminal);
 }
 
+std::vector<double> Executor::EstimateKernelSeconds(
+    const std::vector<std::string>& algorithms) const {
+  std::vector<double> seconds;
+  seconds.reserve(algorithms.size());
+  MutexLock lock(kernel_seconds_mu_);
+  for (const std::string& name : algorithms) {
+    auto it = kernel_seconds_.find(name);
+    seconds.push_back(it != kernel_seconds_.end()
+                          ? it->second
+                          : std::numeric_limits<double>::infinity());
+  }
+  return seconds;
+}
+
 Result<TaskResult> Executor::Run(const std::string& task_id,
                                  const TaskSpec& spec,
                                  const std::atomic<bool>* cancelled) {
@@ -131,8 +149,18 @@ Result<TaskResult> Executor::Run(const std::string& task_id,
                    std::to_string(graph->num_edges()) + " edges with " +
                    std::to_string(ResolveThreadCount(request.num_threads)) +
                    " kernel thread(s) on the shared pool");
+  WallTimer kernel_timer;
   CYCLERANK_ASSIGN_OR_RETURN(RankedList ranking,
                              algorithm->Run(*graph, request));
+  const double kernel_seconds = kernel_timer.ElapsedSeconds();
+  {
+    MutexLock lock(kernel_seconds_mu_);
+    auto [it, first] = kernel_seconds_.try_emplace(
+        std::string(algorithm->name()), kernel_seconds);
+    if (!first) {
+      it->second += kKernelSecondsWeight * (kernel_seconds - it->second);
+    }
+  }
 
   TaskResult result;
   result.task_id = task_id;

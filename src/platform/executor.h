@@ -3,8 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "common/lock_rank.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "platform/datastore.h"
 #include "platform/platform_options.h"
 #include "platform/registry.h"
@@ -24,11 +29,11 @@ namespace cyclerank {
 /// freed when the pin drops.
 ///
 /// `Execute` is synchronous; the `Scheduler` runs it on worker threads.
-/// The executor is stateless apart from its wiring — it owns no mutex and
-/// no mutable fields, so it carries no thread-safety annotations: every
-/// shared structure it touches (datastore stores, status service, result
-/// cache) is locked by its owner. One instance can be shared by any number
-/// of threads.
+/// Apart from its wiring the executor keeps one piece of state: a
+/// per-algorithm estimate of kernel seconds, guarded by a leaf mutex. Every
+/// other shared structure it touches (datastore stores, status service,
+/// result cache) is locked by its owner. One instance can be shared by any
+/// number of threads.
 class Executor {
  public:
   /// All dependencies are borrowed and must outlive the executor.
@@ -69,6 +74,16 @@ class Executor {
   /// datastore's; the scheduler serves hits from the same instance).
   ResultCache& result_cache() const { return datastore_->result_cache(); }
 
+  /// Estimated kernel seconds of each named algorithm (registry names,
+  /// parallel to `algorithms`): an exponentially weighted moving average,
+  /// weight 1/8, of the `RelevanceAlgorithm::Run` calls that succeeded —
+  /// dataset fetch and spill reload excluded. An algorithm that never ran
+  /// successfully estimates +infinity. Not normalised by dataset size: the
+  /// gateway only ranks the tasks of one submission with it.
+  std::vector<double> EstimateKernelSeconds(
+      const std::vector<std::string>& algorithms) const
+      CYR_EXCLUDES(kernel_seconds_mu_);
+
  private:
   /// Ends a task with its final `result`: copies it to `outcome` (when
   /// non-null), publishes an OK result keyed by a non-empty `cache_key` to
@@ -86,6 +101,11 @@ class Executor {
   AlgorithmRegistry* registry_;
   StatusService* status_;
   const uint32_t default_threads_;  ///< 0 = kernel default (whole pool)
+
+  mutable Mutex kernel_seconds_mu_{lock_rank::kKernelSecondsMu,
+                                   "Executor::kernel_seconds_mu_"};
+  std::map<std::string, double> kernel_seconds_
+      CYR_GUARDED_BY(kernel_seconds_mu_);
 };
 
 }  // namespace cyclerank

@@ -1,5 +1,7 @@
 #include "platform/gateway.h"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/mutex.h"
@@ -28,8 +30,10 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
         std::to_string(options_.max_tasks_per_submission) +
         " (max_tasks_per_submission)");
   }
+  std::vector<std::string> algorithms;
   for (const TaskSpec& spec : query_set.tasks) {
-    CYCLERANK_RETURN_NOT_OK(registry_->Find(spec.algorithm).status());
+    CYCLERANK_ASSIGN_OR_RETURN(auto algorithm, registry_->Find(spec.algorithm));
+    algorithms.emplace_back(algorithm->name());
   }
 
   std::string comparison_id;
@@ -53,9 +57,19 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
     error = status_.Track(comparison.task_ids[tracked]);
     if (!error.ok()) break;
   }
+  // Enqueue longest estimated kernel first (Graham's LPT list scheduling):
+  // the set is done when its slowest task is, so that task must not wait
+  // behind the others for a worker. Unseen algorithms estimate +infinity
+  // and sort first; ties keep the request order.
+  const std::vector<double> cost = executor_.EstimateKernelSeconds(algorithms);
+  std::vector<size_t> order(cost.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](size_t a, size_t b) { return cost[a] > cost[b]; });
   if (error.ok()) {
-    for (; enqueued < query_set.tasks.size(); ++enqueued) {
-      const TaskSpec& spec = query_set.tasks[enqueued];
+    for (; enqueued < order.size(); ++enqueued) {
+      const size_t i = order[enqueued];
+      const TaskSpec& spec = query_set.tasks[i];
       // No generation means the dataset currently resolves to nothing: the
       // task runs un-keyed (no cache serve, no coalescing, no publish), so
       // a result that only exists because an upload raced in can never be
@@ -63,7 +77,7 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
       const std::optional<uint64_t> generation =
           datastore_->DatasetCacheGeneration(spec.dataset);
       error = scheduler_.Enqueue(
-          comparison.task_ids[enqueued], spec, comparison.cancelled,
+          comparison.task_ids[i], spec, comparison.cancelled,
           generation.has_value()
               ? TaskFingerprint(spec.dataset, *generation, spec.algorithm,
                                 spec.params)
@@ -79,9 +93,13 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
   // gets the error, never the comparison id, so nobody could cancel (or
   // observe) them afterwards. Tracked but never-enqueued tasks become
   // kFailed with a stored result carrying the submission error; if nothing
-  // reached the scheduler, the comparison is erased entirely.
+  // reached the scheduler, the comparison is erased entirely. Tracking
+  // went in request order and enqueueing in `order`, so the never-enqueued
+  // tasks are the tracked ones among `order`'s tail.
   comparison.cancelled->store(true, std::memory_order_relaxed);
-  for (size_t i = enqueued; i < tracked; ++i) {
+  for (size_t k = enqueued; k < order.size(); ++k) {
+    const size_t i = order[k];
+    if (i >= tracked) continue;
     const std::string& task_id = comparison.task_ids[i];
     datastore_->AppendLog(task_id,
                           "submission rolled back: " + error.ToString());

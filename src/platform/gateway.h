@@ -67,6 +67,11 @@ class ApiGateway {
   /// bad requests fail synchronously; dataset and parameter errors surface
   /// as failed tasks, mirroring the demo's asynchronous error reporting.
   ///
+  /// Tasks are enqueued longest estimated kernel first
+  /// (`Executor::EstimateKernelSeconds`; algorithms never seen first, ties
+  /// in request order), so the set's slowest task starts at once. Task ids
+  /// and `GetResults` keep the request order.
+  ///
   /// Tasks are deduplicated by `TaskFingerprint`: a task whose computation
   /// is cached is served instantly, and identical in-flight tasks run the
   /// kernel once (single-flight, see `Scheduler`). On a mid-submission

@@ -24,10 +24,11 @@ namespace cyclerank {
 /// fetches the dataset and invokes an Executor node; the computation …
 /// is off-loaded to the worker nodes."
 ///
-/// Tasks are dispatched FIFO with at most `num_workers` running
-/// concurrently — the knob behind "computational nodes … can be scaled up
-/// or down depending on the system's workload" (§III); the F1 bench sweeps
-/// it. Execution happens on the process-wide compute pool
+/// Tasks are dispatched FIFO across submissions, and within one query set
+/// in the gateway's longest-estimated-first order, with at most
+/// `num_workers` running concurrently. That knob is the one behind
+/// "computational nodes … can be scaled up or down depending on the
+/// system's workload" (§III); the F1 bench sweeps it. Execution happens on the process-wide compute pool
 /// (`GlobalComputePool`), the same substrate the ranking kernels use for
 /// their own `ParallelFor` fan-out. Sharing one pool keeps the number of
 /// runnable threads bounded by the hardware even when query-level and

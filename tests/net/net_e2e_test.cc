@@ -168,6 +168,37 @@ TEST_F(NetE2eTest, WireResultsAreBitIdenticalToInProcess) {
   }
 }
 
+TEST_F(NetE2eTest, ReorderedSetResultsAreBitIdenticalAndInRequestOrder) {
+  NetClient client = Connect();
+  const auto set = [](int seed) {
+    TaskBuilder builder;
+    const std::string params = "seed=" + std::to_string(seed);
+    EXPECT_TRUE(builder.Add("tiny", "pagerank", params).ok());
+    EXPECT_TRUE(builder.Add("tiny", "counting", params).ok());
+    EXPECT_TRUE(builder.Add("tiny", "slow", params).ok());
+    return builder.Build();
+  };
+  // Warm the kernel-seconds estimates; the next set, given cheapest first,
+  // is then enqueued slowest first.
+  const std::string warm = client.SubmitQuerySet(set(1)).value();
+  ASSERT_TRUE(client.WaitForCompletion(warm, 30.0).value());
+  const QuerySet cheapest_first = set(2);
+  const std::string id = client.SubmitQuerySet(cheapest_first).value();
+  ASSERT_TRUE(client.WaitForCompletion(id, 30.0).value());
+
+  GetResultsResponse wire;
+  wire.results = client.GetResults(id).value();
+  GetResultsResponse local;
+  local.results = gateway_->GetResults(id).value();
+  EXPECT_EQ(EncodeGetResultsResponse(wire), EncodeGetResultsResponse(local));
+  ASSERT_EQ(wire.results.size(), cheapest_first.tasks.size());
+  for (size_t i = 0; i < wire.results.size(); ++i) {
+    EXPECT_TRUE(wire.results[i].status.ok());
+    EXPECT_EQ(wire.results[i].task_id, id + "/" + std::to_string(i));
+    EXPECT_EQ(wire.results[i].spec, cheapest_first.tasks[i]);
+  }
+}
+
 TEST_F(NetE2eTest, EightConcurrentConnectionsCoalesceSingleFlight) {
   CountingAlgorithm::runs_ = 0;
   constexpr int kClients = 8;
@@ -468,12 +499,13 @@ TEST_F(NetE2eTest, GracefulShutdownAnswersParkedWaits) {
   }
 }
 
-TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
-  // A 2 MiB graph budget holds at most 131072 nodes. Each body names
-  // 2^32 - 2 or more nodes; the 13-byte edge list used to ask the daemon
-  // for two 32 GiB offset arrays, the Pajek body threw bad_alloc.
+/// Uploads bodies that name 2^32 - 2 or more nodes to a daemon with graph
+/// budget `graph_store_bytes`: each must be refused on the node `ceiling`,
+/// and the same connection served next.
+void ExpectHugeBodiesRefused(size_t graph_store_bytes,
+                             const std::string& ceiling) {
   PlatformOptions options = PlatformOptions::WithWorkers(2, 7);
-  options.graph_store_bytes = 2 << 20;
+  options.graph_store_bytes = graph_store_bytes;
   options.listen_port = 0;
   options.io_threads = 1;
   Datastore store(nullptr, options);
@@ -489,7 +521,8 @@ TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
         "4294967297 1\n0 1\n"}) {
     const Status refused = client.UploadDataset("huge", body);
     EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(refused.message().find("nodes exceed the node ceiling of 131072"),
+    EXPECT_NE(refused.message().find("nodes exceed the node ceiling of " +
+                                     ceiling),
               std::string::npos)
         << refused.ToString();
   }
@@ -500,6 +533,18 @@ TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
   const std::string id = client.SubmitQuerySet(builder.Build()).value();
   ASSERT_TRUE(client.WaitForCompletion(id, 30.0).value());
   EXPECT_EQ(client.GetResults(id).value().size(), 1u);
+}
+
+TEST(NetUploadCeilingTest, TinyBodiesNamingHugeGraphsLeaveTheServerUp) {
+  // A 2 MiB graph budget holds at most 131072 nodes. The 13-byte edge list
+  // used to ask the daemon for two 32 GiB offset arrays, the Pajek body
+  // threw bad_alloc.
+  ExpectHugeBodiesRefused(2 << 20, "131072");
+}
+
+TEST(NetUploadCeilingTest, UnbudgetedDaemonRefusesTinyBodiesNamingHugeGraphs) {
+  // No graph budget: the ceiling is a fixed 2^28 nodes.
+  ExpectHugeBodiesRefused(0, "268435456");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -213,13 +215,22 @@ TEST(DatastoreTest, UploadNodeCeilingIsTheBudgetOver16) {
   EXPECT_NE(past.message().find("101 nodes exceed the node ceiling of 100"),
             std::string::npos)
       << past.ToString();
-  // With no budget the ceiling is the NodeId range.
+  // With no budget the ceiling is a fixed 2^28 nodes; the 13-byte edge
+  // list used to pass it and ask for two 32 GiB offset arrays.
   Datastore unbounded(nullptr);
   EXPECT_TRUE(unbounded.UploadDataset("wide", "100000 0\n").ok());
-  EXPECT_NE(unbounded.UploadDataset("asd", "4294967297 1\n0 1\n")
-                .message()
-                .find("4294967297 nodes exceed the node ceiling of 4294967295"),
-            std::string::npos);
+  for (const auto& [body, count] :
+       {std::pair<const char*, const char*>{"4294967294,0\n", "4294967295"},
+        {"268435457 0\n", "268435457"},
+        {"4294967297 1\n0 1\n", "4294967297"}}) {
+    const Status status = unbounded.UploadDataset("huge", body);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(std::string(count) +
+                                    " nodes exceed the node ceiling of "
+                                    "268435456"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(DatastoreTest, EvictionNeverFreesAPinnedSnapshot) {

@@ -1,7 +1,15 @@
 #include "platform/gateway.h"
 
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/mutex.h"
 #include "common/uuid.h"
 #include "graph/graph_builder.h"
 #include "storage_test_util.h"
@@ -390,6 +398,147 @@ TEST(GatewayCancelTest, CancelSkipsQueuedTasks) {
   EXPECT_TRUE(status.done);
   // At least some queued tasks observed the flag.
   EXPECT_GT(status.cancelled, 0u);
+}
+
+/// The order in which kernels started: one "<algorithm>/<seed>" per run.
+struct RunLog {
+  Mutex mu;
+  std::vector<std::string> runs CYR_GUARDED_BY(mu);
+
+  std::vector<std::string> Take() {
+    MutexLock lock(mu);
+    return std::exchange(runs, {});
+  }
+};
+
+/// Logs its start, then sleeps a fixed time: with one worker the log is
+/// the dispatch order, and the sleep is the kernel time the executor
+/// learns.
+class SleepAlgorithm final : public RelevanceAlgorithm {
+ public:
+  SleepAlgorithm(std::string name, int millis, RunLog* log)
+      : name_(std::move(name)), millis_(millis), log_(log) {}
+  std::string_view name() const override { return name_; }
+  bool requires_reference() const override { return false; }
+  bool produces_scores() const override { return true; }
+  Result<RankedList> Run(const Graph& g,
+                         const AlgorithmRequest& request) const override {
+    {
+      MutexLock lock(log_->mu);
+      log_->runs.push_back(name_ + "/" + std::to_string(request.seed));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(millis_));
+    std::vector<double> scores(g.num_nodes(), 1.0);
+    RankingOptions options;
+    options.drop_zeros = false;
+    return ScoresToRankedList(scores, options);
+  }
+
+ private:
+  const std::string name_;
+  const int millis_;
+  RunLog* const log_;
+};
+
+class GatewayDispatchOrderTest : public ::testing::Test {
+ protected:
+  GatewayDispatchOrderTest() : store_(nullptr) {
+    for (const auto& [name, millis] :
+         {std::pair<const char*, int>{"short", 1}, {"mid", 15}, {"long", 40},
+          {"fresh", 1}}) {
+      EXPECT_TRUE(
+          registry_.Register(std::make_shared<SleepAlgorithm>(name, millis,
+                                                              &log_))
+              .ok());
+    }
+    GraphBuilder builder;
+    builder.AddEdge("a", "b");
+    builder.AddEdge("b", "a");
+    (void)store_.PutDataset("tiny", builder.BuildShared().value());
+  }
+
+  /// One task per (algorithm, seed); distinct seeds keep the fingerprints
+  /// distinct, so no task is a cache hit or a single-flight follower.
+  static QuerySet Set(
+      const std::vector<std::pair<std::string, int>>& tasks) {
+    TaskBuilder builder;
+    for (const auto& [algorithm, seed] : tasks) {
+      EXPECT_TRUE(
+          builder.Add("tiny", algorithm, "seed=" + std::to_string(seed)).ok());
+    }
+    return builder.Build();
+  }
+
+  /// Submits `set`, waits for it, checks that ids and results follow the
+  /// request order, and returns the order the kernels ran in.
+  std::vector<std::string> RunSet(ApiGateway& gateway, const QuerySet& set) {
+    log_.Take();
+    const std::string id = gateway.SubmitQuerySet(set).value();
+    EXPECT_TRUE(*gateway.WaitForCompletion(id, 60.0));
+    const auto results = gateway.GetResults(id).value();
+    EXPECT_EQ(results.size(), set.tasks.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+      EXPECT_EQ(results[i].task_id, id + "/" + std::to_string(i));
+      EXPECT_EQ(results[i].spec, set.tasks[i]);
+    }
+    return log_.Take();
+  }
+
+  RunLog log_;
+  AlgorithmRegistry registry_;
+  Datastore store_;
+};
+
+TEST_F(GatewayDispatchOrderTest, LearnedCostRunsLongestFirst) {
+  ApiGateway gateway(&store_, &registry_, PlatformOptions::WithWorkers(1, 9));
+  // Nothing has run yet: every estimate is +infinity, so the request order
+  // stands.
+  EXPECT_EQ(RunSet(gateway, Set({{"short", 1}, {"mid", 1}, {"long", 1}})),
+            (std::vector<std::string>{"short/1", "mid/1", "long/1"}));
+  // Warm: longest first, and the two equal-cost tasks in request order.
+  EXPECT_EQ(RunSet(gateway, Set({{"short", 2}, {"long", 2}, {"mid", 2},
+                                 {"long", 3}})),
+            (std::vector<std::string>{"long/2", "long/3", "mid/2", "short/2"}));
+  // An algorithm never seen before sorts ahead of every estimate.
+  EXPECT_EQ(RunSet(gateway, Set({{"short", 4}, {"long", 4}, {"fresh", 1}})),
+            (std::vector<std::string>{"fresh/1", "long/4", "short/4"}));
+}
+
+TEST_F(GatewayDispatchOrderTest, RollbackFollowsTheCostOrder) {
+  // One worker and one waiting slot: of a three-task set the first enqueued
+  // runs, the second waits, and the third is refused.
+  PlatformOptions options = PlatformOptions::WithWorkers(1, 11);
+  options.admission_queue_limit = 1;
+  ApiGateway gateway(&store_, &registry_, options);
+  UuidGenerator twin(11);
+  for (const char* algorithm : {"short", "mid", "long"}) {
+    (void)twin.Generate();
+    RunSet(gateway, Set({{algorithm, 1}}));
+  }
+
+  // Cost order is long, mid, short: `short`, the request's first task, is
+  // the one refused.
+  const QuerySet set = Set({{"short", 2}, {"mid", 2}, {"long", 2}});
+  const std::string next = twin.Generate();
+  const auto submitted = gateway.SubmitQuerySet(set);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(*gateway.WaitForCompletion(next, 60.0));
+  const ComparisonStatus status = gateway.GetStatus(next).value();
+  for (TaskState state : status.states) {
+    EXPECT_NE(state, TaskState::kPending);
+  }
+  EXPECT_EQ(status.states[0], TaskState::kFailed);
+  const TaskResult rolled_back = store_.GetResult(next + "/0").value();
+  EXPECT_EQ(rolled_back.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(rolled_back.spec, set.tasks[0]);
+  const auto results = gateway.GetResults(next).value();
+  EXPECT_EQ(results.size(), set.tasks.size());
+  for (const TaskResult& result : results) {
+    const size_t i = std::stoul(result.task_id.substr(next.size() + 1));
+    EXPECT_EQ(result.spec, set.tasks[i]) << result.task_id;
+  }
 }
 
 }  // namespace
