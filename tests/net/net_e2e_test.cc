@@ -255,6 +255,36 @@ TEST_F(NetE2eTest, SubscribeDeliversTerminalPushWithoutPolling) {
   EXPECT_TRUE(second.comparison.done);
 }
 
+TEST_F(NetE2eTest, MultiTaskSetPushesOneEventAfterItsLastTask) {
+  NetClient waiter = Connect();
+  NetClient watcher = Connect();
+  // Tasks of different lengths, one failing on a missing dataset: the set
+  // turns done only when its 300 ms task does.
+  TaskBuilder builder;
+  ASSERT_TRUE(builder.Add("tiny", "pagerank", "").ok());
+  ASSERT_TRUE(builder.Add("ghost", "pagerank", "").ok());
+  ASSERT_TRUE(builder.Add("tiny", "counting", "alpha=0.25").ok());
+  ASSERT_TRUE(builder.Add("tiny", "slow", "").ok());
+  const std::string id = waiter.SubmitQuerySet(builder.Build()).value();
+  // Both connections subscribe; the waiter also parks a WAIT.
+  ASSERT_TRUE(watcher.Subscribe(id).ok());
+  ASSERT_TRUE(waiter.Subscribe(id).ok());
+  EXPECT_TRUE(waiter.WaitForCompletion(id, 30.0).value());
+
+  for (NetClient* client : {&waiter, &watcher}) {
+    const EventMessage event = client->NextEvent(30.0).value();
+    EXPECT_EQ(event.comparison.comparison_id, id);
+    EXPECT_TRUE(event.comparison.done);
+    EXPECT_EQ(event.comparison.completed, 3u);
+    EXPECT_EQ(event.comparison.failed, 1u);
+    // Nothing follows: no second EVENT, and no second WAIT answer.
+    EXPECT_EQ(client->NextEvent(0.3).status().code(),
+              StatusCode::kDeadlineExceeded);
+  }
+  // The waiter's stream is clean: a stray frame would fail this round trip.
+  EXPECT_TRUE(waiter.GetStatus(id).value().done);
+}
+
 TEST_F(NetE2eTest, SubscribeToFinishedComparisonPushesImmediately) {
   NetClient client = Connect();
   const std::string id =
