@@ -45,7 +45,10 @@ class Result {
     return std::get<Status>(payload_);
   }
 
-  /// Value accessors. Must only be called when `ok()`.
+  /// Value accessors. Must only be called when `ok()`. On an rvalue the
+  /// value is moved out and returned by value, so binding the result of
+  /// `F().value()` or `*F()` (a range-for over it, say) outlives the
+  /// temporary `Result`.
   const T& value() const& {
     assert(ok());
     return std::get<T>(payload_);
@@ -54,7 +57,7 @@ class Result {
     assert(ok());
     return std::get<T>(payload_);
   }
-  T&& value() && {
+  T value() && {
     assert(ok());
     return std::get<T>(std::move(payload_));
   }
@@ -67,6 +70,7 @@ class Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

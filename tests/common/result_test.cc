@@ -44,6 +44,18 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*owned, 5);
 }
 
+Result<std::vector<int>> MakeVector() { return std::vector<int>{1, 2, 3}; }
+
+TEST(ResultTest, RvalueAccessDoesNotDangle) {
+  // A range-for keeps only its range expression's result alive, not the
+  // temporary `Result` it came from: `value() &&` and `operator*() &&`
+  // must hand back the value itself, not a reference into the temporary.
+  int sum = 0;
+  for (int x : MakeVector().value()) sum += x;
+  for (int x : *MakeVector()) sum += x;
+  EXPECT_EQ(sum, 12);
+}
+
 TEST(ResultTest, ArrowOperator) {
   Result<std::string> r = std::string("hello");
   EXPECT_EQ(r->size(), 5u);
