@@ -23,13 +23,14 @@
 ///
 /// The ranks below encode every real nesting in the platform; see
 /// src/platform/README.md ("Lock hierarchy") for the prose version.
-/// Outer layers (gateway → scheduler) have low ranks; the stores come next
-/// (the datastore facade holds no lock of its own: each store orders its
-/// own lifecycle steps under its own mutex); the spill tier's two locks
-/// (write-behind buffer before disk index — the documented fixed order)
-/// sit below those because the graph and result stores call into their
-/// spill tier while holding their own lock; the
-/// thread pool, workspace pool, and logging are leaf-most — they are
+/// Outer layers (network server → scheduler) have low ranks; the stores
+/// come next (the gateway and the datastore facade hold no lock of their
+/// own: a comparison's record lives in the status service, and each store
+/// orders its own lifecycle steps under its own mutex); the spill tier's
+/// two locks (write-behind buffer before disk index — the documented fixed
+/// order) sit below those because the graph and result stores call into
+/// their spill tier while holding their own lock; the thread pool,
+/// workspace pool, and logging are leaf-most — they are
 /// acquired from under almost everything (the scheduler posts to the pool
 /// while holding `mu_`; warnings are logged under store locks).
 ///
@@ -47,18 +48,13 @@ inline constexpr int kUnranked = 0;
 // ---- Platform hierarchy (see the header comment) -------------------------
 
 /// `NetServer` lifecycle state (src/net/server.cc) — Start/Shutdown
-/// bookkeeping. Ranked above even the gateway: the server calls the whole
-/// gateway surface on behalf of remote clients. (The server's cross-thread
+/// bookkeeping. Ranked outermost: the server calls the whole gateway
+/// surface on behalf of remote clients. (The server's cross-thread
 /// mailbox mutex is deliberately *unranked*: terminal-state listeners may
 /// fire from under `Scheduler::mu_`, so the mailbox must be free to nest
 /// under any rank; its critical sections only append to a vector and write
 /// one pipe byte.)
 inline constexpr int kNetServerMu = 50;
-
-/// `ApiGateway::mu_` — comparison bookkeeping; wraps nothing today, ranked
-/// outermost of the in-process platform because the gateway is the topmost
-/// layer (only the network server sits above it).
-inline constexpr int kGatewayMu = 100;
 
 /// `Scheduler::mu_` — dispatch/single-flight state. Holds while probing
 /// the result cache, posting to the pool, and (on the degenerate
@@ -68,7 +64,8 @@ inline constexpr int kSchedulerMu = 200;
 /// The individually-locked stores. They never nest with each other, so
 /// their relative order is free; the graph store and the result store
 /// (results and their logs) each call into their spill tier and the
-/// logger under their lock.
+/// logger under their lock. `StatusService::mu_` guards every
+/// comparison's record and the id generator; it wraps nothing.
 inline constexpr int kGraphStoreMu = 400;
 inline constexpr int kResultStoreMu = 410;
 /// `ResultCache::mu_` — memory only: taken under the scheduler's mutex,

@@ -47,13 +47,13 @@ std::string ErrnoMessage(const char* what) {
 struct MailItem {
   enum Kind {
     kResponse,  ///< a handler thread finished; `frame` goes to `conn_id`
-    kTerminal,  ///< a task entered a terminal state (from the listener)
+    kDone,      ///< a comparison's last task turned terminal (listener)
     kShutdown,  ///< begin the graceful drain
   };
   Kind kind = kResponse;
   uint64_t conn_id = 0;
-  std::string frame;    ///< kResponse: encoded response frame
-  std::string task_id;  ///< kTerminal
+  std::string frame;          ///< kResponse: encoded response frame
+  std::string comparison_id;  ///< kDone
 };
 
 /// The cross-thread mailbox: handler threads and the gateway's
@@ -97,8 +97,8 @@ struct Connection {
   std::set<std::string> subscriptions;  ///< comparison ids (one-shot)
 };
 
-/// A parked WaitForCompletion, matured by terminal-state mail or its
-/// deadline.
+/// A parked WaitForCompletion, matured by its comparison's kDone mail or
+/// its deadline.
 struct PendingWait {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
@@ -117,8 +117,8 @@ struct NetServer::Impl {
   const PlatformOptions options;
 
   /// Lifecycle state only (Start/Shutdown); never held while the loop
-  /// runs. Ranked above the gateway: Start registers the listener (and
-  /// thus reaches StatusService) under it.
+  /// runs. Ranked outermost: Start registers the listener (and thus
+  /// reaches StatusService) under it.
   Mutex mu{lock_rank::kNetServerMu, "NetServer::mu"};
   bool started CYR_GUARDED_BY(mu) = false;
   bool shut_down CYR_GUARDED_BY(mu) = false;
@@ -510,52 +510,22 @@ struct NetServer::Impl {
     }
   }
 
-  /// A comparison may have reached `done`: push events to subscribers and
-  /// answer parked waits. Runs on the loop thread with no locks held, so
-  /// the gateway call is rank-clean.
-  void MaybeNotify(const std::string& comparison_id) {
-    bool anyone_cares = false;
-    for (const auto& [id, conn] : conns) {
-      if (conn->subscriptions.count(comparison_id) != 0) {
-        anyone_cares = true;
-        break;
-      }
-    }
-    if (!anyone_cares) {
-      for (const PendingWait& wait : waits) {
-        if (wait.comparison_id == comparison_id) {
-          anyone_cares = true;
-          break;
-        }
-      }
-    }
-    if (!anyone_cares) return;
-    auto status = gateway->GetStatus(comparison_id);
-    if (!status.ok()) {
-      // The comparison vanished under its watchers (should not happen in
-      // normal operation): fail the waits, drop the subscriptions.
-      for (auto it = waits.begin(); it != waits.end();) {
-        if (it->comparison_id != comparison_id) {
-          ++it;
-          continue;
-        }
-        auto cit = conns.find(it->conn_id);
-        if (cit != conns.end()) {
-          SendFrame(*cit->second,
-                    EncodeWaitResponse(
-                        {it->request_id, status.status(), false}));
-        }
-        it = waits.erase(it);
-      }
-      for (auto& [id, conn] : conns) conn->subscriptions.erase(comparison_id);
-      return;
-    }
-    if (!status->done) return;  // another task of the set is still running
+  /// `comparison_id` just turned done: push its EVENT to subscribers and
+  /// answer its parked waits. Runs on the loop thread with no locks held,
+  /// so the gateway call is rank-clean.
+  void NotifyDone(const std::string& comparison_id) {
+    std::string event;  // encoded for the first subscriber, then reused
     for (auto& [id, conn] : conns) {
-      if (conn->subscriptions.erase(comparison_id) != 0) {
-        events_pushed.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(*conn, EncodeEventMessage({*status}));
+      if (conn->subscriptions.erase(comparison_id) == 0) continue;
+      if (event.empty()) {
+        auto status = gateway->GetStatus(comparison_id);
+        // Only a rolled-back submission, whose id was never handed out,
+        // erases its record.
+        if (!status.ok()) continue;
+        event = EncodeEventMessage({std::move(status).value()});
       }
+      events_pushed.fetch_add(1, std::memory_order_relaxed);
+      SendFrame(*conn, event);
     }
     for (auto it = waits.begin(); it != waits.end();) {
       if (it->comparison_id != comparison_id) {
@@ -596,7 +566,6 @@ struct NetServer::Impl {
       MutexLock lock(mailbox->mu);
       items.swap(mailbox->items);
     }
-    std::set<std::string> terminal_comparisons;
     for (MailItem& item : items) {
       switch (item.kind) {
         case MailItem::kResponse: {
@@ -606,23 +575,13 @@ struct NetServer::Impl {
           }
           break;
         }
-        case MailItem::kTerminal: {
-          // Task ids are "<comparison-id>/<index>"; watchers key on the
-          // comparison. Batch-dedupe: N tasks of one comparison finishing
-          // together cost one GetStatus, not N.
-          const size_t slash = item.task_id.rfind('/');
-          terminal_comparisons.insert(
-              slash == std::string::npos ? item.task_id
-                                         : item.task_id.substr(0, slash));
+        case MailItem::kDone:
+          NotifyDone(item.comparison_id);
           break;
-        }
         case MailItem::kShutdown:
           BeginDrain();
           break;
       }
-    }
-    for (const std::string& comparison_id : terminal_comparisons) {
-      MaybeNotify(comparison_id);
     }
   }
 
@@ -808,8 +767,8 @@ Status NetServer::Start() {
   // may run under Scheduler::mu_.
   auto mb = impl.mailbox;
   impl.listener_token = impl.gateway->AddTerminalListener(
-      [mb](const std::string& task_id, TaskState /*state*/) {
-        mb->Push({MailItem::kTerminal, 0, {}, task_id});
+      [mb](const std::string& comparison_id) {
+        mb->Push({MailItem::kDone, 0, {}, comparison_id});
       });
   Impl* raw = impl_.get();
   impl.loop_done = impl.loop_pool->Submit([raw] { raw->Loop(); });

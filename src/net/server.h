@@ -41,9 +41,12 @@ struct NetServerStats {
 ///    loop;
 ///  - `WaitForCompletion` and SUBSCRIBE never block any thread: the
 ///    server parks them and matures them from the gateway's
-///    terminal-state listener (`ApiGateway::AddTerminalListener`), whose
-///    callback only appends to the mailbox and pokes the wakeup pipe —
-///    the shape the listener's locking contract demands.
+///    terminal-state listener (`ApiGateway::AddTerminalListener`), which
+///    fires once per comparison, when its last task turns terminal. The
+///    callback only appends the comparison id to the mailbox and pokes the
+///    wakeup pipe — the shape the listener's locking contract demands; the
+///    loop then answers the parked waits and reads the comparison's status
+///    only if a subscriber needs the EVENT payload.
 ///
 /// Overload posture matches the rest of the platform: a connection past
 /// `max_connections` gets a `kUnavailable` ERROR frame and a close; a

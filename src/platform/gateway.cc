@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "common/mutex.h"
 #include "platform/params.h"
 
 namespace cyclerank {
@@ -13,9 +12,9 @@ ApiGateway::ApiGateway(Datastore* datastore, AlgorithmRegistry* registry,
                        const PlatformOptions& options)
     : options_(options),
       datastore_(datastore),
+      status_(options.uuid_seed),
       executor_(datastore, registry, &status_, options),
       scheduler_(&executor_, options),
-      uuid_(options.uuid_seed),
       registry_(registry) {}
 
 Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
@@ -36,27 +35,9 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
     algorithms.emplace_back(algorithm->name());
   }
 
-  std::string comparison_id;
-  Comparison comparison;
-  comparison.cancelled = std::make_shared<std::atomic<bool>>(false);
-  comparison.specs = query_set.tasks;
-  {
-    MutexLock lock(mu_);
-    comparison_id = uuid_.Generate();
-    for (size_t i = 0; i < query_set.tasks.size(); ++i) {
-      comparison.task_ids.push_back(comparison_id + "/" + std::to_string(i));
-    }
-    comparisons_.emplace(comparison_id, comparison);
-  }
-
   // Track before enqueueing so a status poll can never miss a task.
-  Status error;
-  size_t tracked = 0;
-  size_t enqueued = 0;
-  for (; tracked < comparison.task_ids.size(); ++tracked) {
-    error = status_.Track(comparison.task_ids[tracked]);
-    if (!error.ok()) break;
-  }
+  CYCLERANK_ASSIGN_OR_RETURN(const StatusService::Tracked tracked,
+                             status_.Track(query_set.tasks));
   // Enqueue longest estimated kernel first (Graham's LPT list scheduling):
   // the set is done when its slowest task is, so that task must not wait
   // behind the others for a worker. Unseen algorithms estimate +infinity
@@ -66,41 +47,38 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&cost](size_t a, size_t b) { return cost[a] > cost[b]; });
-  if (error.ok()) {
-    for (; enqueued < order.size(); ++enqueued) {
-      const size_t i = order[enqueued];
-      const TaskSpec& spec = query_set.tasks[i];
-      // No generation means the dataset currently resolves to nothing: the
-      // task runs un-keyed (no cache serve, no coalescing, no publish), so
-      // a result that only exists because an upload raced in can never be
-      // served to later submissions that should answer Expired/NotFound.
-      const std::optional<uint64_t> generation =
-          datastore_->DatasetCacheGeneration(spec.dataset);
-      error = scheduler_.Enqueue(
-          comparison.task_ids[i], spec, comparison.cancelled,
-          generation.has_value()
-              ? TaskFingerprint(spec.dataset, *generation, spec.algorithm,
-                                spec.params)
-              : std::string());
-      if (!error.ok()) break;
-    }
+  Status error;
+  size_t enqueued = 0;
+  for (; enqueued < order.size(); ++enqueued) {
+    const size_t i = order[enqueued];
+    const TaskSpec& spec = query_set.tasks[i];
+    // No generation means the dataset currently resolves to nothing: the
+    // task runs un-keyed (no cache serve, no coalescing, no publish), so a
+    // result that only exists because an upload raced in can never be
+    // served to later submissions that should answer Expired/NotFound.
+    const std::optional<uint64_t> generation =
+        datastore_->DatasetCacheGeneration(spec.dataset);
+    error = scheduler_.Enqueue(
+        tracked.task_ids[i], spec, tracked.cancelled,
+        generation.has_value()
+            ? TaskFingerprint(spec.dataset, *generation, spec.algorithm,
+                              spec.params)
+            : std::string());
+    if (!error.ok()) break;
   }
-  if (error.ok()) return comparison_id;
+  if (error.ok()) return tracked.comparison_id;
 
   // Roll back the partial submission: a task left kPending with no executor
   // ever going to run it would hang WaitForCompletion forever. Tasks that
   // did reach the scheduler are cancelled best-effort — the caller only
   // gets the error, never the comparison id, so nobody could cancel (or
-  // observe) them afterwards. Tracked but never-enqueued tasks become
+  // observe) them afterwards. Never-enqueued tasks, `order`'s tail, become
   // kFailed with a stored result carrying the submission error; if nothing
-  // reached the scheduler, the comparison is erased entirely. Tracking
-  // went in request order and enqueueing in `order`, so the never-enqueued
-  // tasks are the tracked ones among `order`'s tail.
-  comparison.cancelled->store(true, std::memory_order_relaxed);
+  // reached the scheduler, the comparison is erased entirely.
+  tracked.cancelled->store(true, std::memory_order_relaxed);
   for (size_t k = enqueued; k < order.size(); ++k) {
     const size_t i = order[k];
-    if (i >= tracked) continue;
-    const std::string& task_id = comparison.task_ids[i];
+    const std::string& task_id = tracked.task_ids[i];
     datastore_->AppendLog(task_id,
                           "submission rolled back: " + error.ToString());
     TaskResult failed;
@@ -110,60 +88,15 @@ Result<std::string> ApiGateway::SubmitQuerySet(const QuerySet& query_set) {
     datastore_->PutResult(std::move(failed));
     (void)status_.SetState(task_id, TaskState::kFailed);
   }
-  if (enqueued == 0) {
-    MutexLock lock(mu_);
-    comparisons_.erase(comparison_id);
-  }
+  if (enqueued == 0) status_.Erase(tracked.comparison_id);
   return error;
-}
-
-Result<ComparisonStatus> ApiGateway::GetStatus(
-    const std::string& comparison_id) const {
-  std::vector<std::string> task_ids;
-  {
-    MutexLock lock(mu_);
-    auto it = comparisons_.find(comparison_id);
-    if (it == comparisons_.end()) {
-      return Status::NotFound("gateway: comparison '" + comparison_id +
-                              "' not found");
-    }
-    task_ids = it->second.task_ids;
-  }
-  ComparisonStatus status;
-  status.comparison_id = comparison_id;
-  status.task_ids = std::move(task_ids);
-  CYCLERANK_ASSIGN_OR_RETURN(status.states,
-                             status_.GetStates(status.task_ids));
-  status.done = true;
-  for (TaskState state : status.states) {
-    switch (state) {
-      case TaskState::kCompleted:
-        ++status.completed;
-        break;
-      case TaskState::kFailed:
-        ++status.failed;
-        break;
-      case TaskState::kCancelled:
-        ++status.cancelled;
-        break;
-      default:
-        status.done = false;
-        break;
-    }
-  }
-  return status;
 }
 
 Result<std::vector<TaskResult>> ApiGateway::GetResults(
     const std::string& comparison_id) const {
-  CYCLERANK_ASSIGN_OR_RETURN(ComparisonStatus status,
-                             GetStatus(comparison_id));
   std::vector<TaskSpec> specs;
-  {
-    MutexLock lock(mu_);
-    auto it = comparisons_.find(comparison_id);
-    if (it != comparisons_.end()) specs = it->second.specs;
-  }
+  CYCLERANK_ASSIGN_OR_RETURN(const ComparisonStatus status,
+                             status_.GetStatus(comparison_id, &specs));
   std::vector<TaskResult> results;
   for (size_t i = 0; i < status.task_ids.size(); ++i) {
     if (!IsTerminal(status.states[i])) continue;
@@ -179,7 +112,7 @@ Result<std::vector<TaskResult>> ApiGateway::GetResults(
     // verbatim — that is an answer, not an internal error.
     TaskResult entry;
     entry.task_id = status.task_ids[i];
-    if (i < specs.size()) entry.spec = specs[i];
+    entry.spec = specs[i];
     if (result.status().code() == StatusCode::kExpired) {
       entry.status = result.status();
     } else {
@@ -194,32 +127,6 @@ Result<std::vector<TaskResult>> ApiGateway::GetResults(
     results.push_back(std::move(entry));
   }
   return results;
-}
-
-Status ApiGateway::Cancel(const std::string& comparison_id) {
-  MutexLock lock(mu_);
-  auto it = comparisons_.find(comparison_id);
-  if (it == comparisons_.end()) {
-    return Status::NotFound("gateway: comparison '" + comparison_id +
-                            "' not found");
-  }
-  it->second.cancelled->store(true, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Result<bool> ApiGateway::WaitForCompletion(const std::string& comparison_id,
-                                           double timeout_seconds) const {
-  std::vector<std::string> task_ids;
-  {
-    MutexLock lock(mu_);
-    auto it = comparisons_.find(comparison_id);
-    if (it == comparisons_.end()) {
-      return Status::NotFound("gateway: comparison '" + comparison_id +
-                              "' not found");
-    }
-    task_ids = it->second.task_ids;
-  }
-  return status_.WaitUntilTerminal(task_ids, timeout_seconds);
 }
 
 }  // namespace cyclerank

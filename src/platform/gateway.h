@@ -1,17 +1,10 @@
 #ifndef CYCLERANK_PLATFORM_GATEWAY_H_
 #define CYCLERANK_PLATFORM_GATEWAY_H_
 
-#include <atomic>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/lock_rank.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/uuid.h"
 #include "platform/datastore.h"
 #include "platform/platform_options.h"
 #include "platform/registry.h"
@@ -21,17 +14,6 @@
 
 namespace cyclerank {
 
-/// Aggregate progress of a submitted query set.
-struct ComparisonStatus {
-  std::string comparison_id;
-  std::vector<std::string> task_ids;  ///< "<comparison-id>/<index>"
-  std::vector<TaskState> states;      ///< parallel to task_ids
-  size_t completed = 0;
-  size_t failed = 0;
-  size_t cancelled = 0;
-  bool done = false;  ///< all tasks terminal
-};
-
 /// The API gateway of Fig. 1: "the entry point for all incoming requests
 /// from the Web UI", routing them to the computational nodes and serving
 /// results back.
@@ -40,7 +22,9 @@ struct ComparisonStatus {
 /// permalink (as in Fig. 2's "Comparison id:"); each query becomes a task
 /// `<comparison-id>/<index>`. Submission is asynchronous: poll
 /// `GetStatus`, block with `WaitForCompletion`, then join the per-task
-/// outcomes with `GetResults`.
+/// outcomes with `GetResults`. The comparison's one record — ids, task
+/// states, specs, cancel flag — lives in the `StatusService`; the gateway
+/// holds no lock of its own.
 class ApiGateway {
  public:
   /// Dependencies are borrowed and must outlive the gateway. `options`
@@ -74,16 +58,16 @@ class ApiGateway {
   ///
   /// Tasks are deduplicated by `TaskFingerprint`: a task whose computation
   /// is cached is served instantly, and identical in-flight tasks run the
-  /// kernel once (single-flight, see `Scheduler`). On a mid-submission
-  /// failure the gateway rolls back: tracked-but-never-enqueued tasks move
-  /// to `kFailed` with a stored error result (never stuck `kPending`), and
-  /// a comparison with no enqueued task at all is erased.
-  Result<std::string> SubmitQuerySet(const QuerySet& query_set)
-      CYR_EXCLUDES(mu_);
+  /// kernel once (single-flight, see `Scheduler`). When an enqueue is
+  /// refused the gateway rolls back: never-enqueued tasks move to
+  /// `kFailed` with a stored error result (never stuck `kPending`), and a
+  /// comparison with no enqueued task at all is erased.
+  Result<std::string> SubmitQuerySet(const QuerySet& query_set);
 
   /// Current aggregate status of a comparison.
-  Result<ComparisonStatus> GetStatus(const std::string& comparison_id) const
-      CYR_EXCLUDES(mu_);
+  Result<ComparisonStatus> GetStatus(const std::string& comparison_id) const {
+    return status_.GetStatus(comparison_id);
+  }
 
   /// Results of all *terminal* tasks so far, in task order. Tasks that
   /// failed carry their error status; pending/running tasks are skipped. A
@@ -91,17 +75,20 @@ class ApiGateway {
   /// operation) still yields an entry whose status names its state, so
   /// callers can always distinguish "no result yet" from "task failed".
   Result<std::vector<TaskResult>> GetResults(
-      const std::string& comparison_id) const CYR_EXCLUDES(mu_);
+      const std::string& comparison_id) const;
 
   /// Requests cancellation of all not-yet-started tasks of a comparison.
-  Status Cancel(const std::string& comparison_id) CYR_EXCLUDES(mu_);
+  Status Cancel(const std::string& comparison_id) {
+    return status_.Cancel(comparison_id);
+  }
 
   /// Blocks until the comparison is done. `timeout_seconds == 0` blocks
   /// indefinitely; positive values bound the wait (returns false on
   /// timeout); negative values are rejected as InvalidArgument.
   Result<bool> WaitForCompletion(const std::string& comparison_id,
-                                 double timeout_seconds = 0.0) const
-      CYR_EXCLUDES(mu_);
+                                 double timeout_seconds = 0.0) const {
+    return status_.WaitUntilDone(comparison_id, timeout_seconds);
+  }
 
   /// Stops the scheduler (drains in-flight work); idempotent.
   void Shutdown() { scheduler_.Shutdown(); }
@@ -117,9 +104,9 @@ class ApiGateway {
   /// monitoring stats through it on behalf of remote clients.
   Datastore* datastore() { return datastore_; }
 
-  /// Registers a callback fired whenever any task tracked by this gateway
-  /// enters a terminal state — the push primitive behind the network
-  /// layer's SUBSCRIBE frames and event-driven WaitForCompletion. Thin
+  /// Registers a callback fired once per comparison, with its id, when its
+  /// last task enters a terminal state — the push primitive behind the
+  /// network layer's SUBSCRIBE frames and parked WAITs. Thin
   /// forwarder to the StatusService; see
   /// `StatusService::AddTerminalListener` for the restrictive locking
   /// contract (the callback may run under scheduler locks — it must only
@@ -135,24 +122,11 @@ class ApiGateway {
   }
 
  private:
-  struct Comparison {
-    std::vector<std::string> task_ids;
-    std::vector<TaskSpec> specs;  ///< parallel to task_ids
-    std::shared_ptr<std::atomic<bool>> cancelled;
-  };
-
   const PlatformOptions options_;
   Datastore* datastore_;
   StatusService status_;
   Executor executor_;
   Scheduler scheduler_;
-
-  /// Outermost lock of the whole platform: submission holds it only for
-  /// id generation and comparison-map writes, never across enqueue or
-  /// delivery — but the rank is ordered before every other lock anyway.
-  mutable Mutex mu_{lock_rank::kGatewayMu, "ApiGateway::mu_"};
-  UuidGenerator uuid_ CYR_GUARDED_BY(mu_);
-  std::map<std::string, Comparison> comparisons_ CYR_GUARDED_BY(mu_);
   AlgorithmRegistry* registry_;
 };
 

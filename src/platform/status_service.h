@@ -1,9 +1,11 @@
 #ifndef CYCLERANK_PLATFORM_STATUS_SERVICE_H_
 #define CYCLERANK_PLATFORM_STATUS_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,24 +13,53 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
+#include "common/uuid.h"
 #include "platform/task.h"
 
 namespace cyclerank {
 
+/// Aggregate progress of a submitted query set.
+struct ComparisonStatus {
+  std::string comparison_id;
+  std::vector<std::string> task_ids;  ///< "<comparison-id>/<index>"
+  std::vector<TaskState> states;      ///< parallel to task_ids
+  size_t completed = 0;
+  size_t failed = 0;
+  size_t cancelled = 0;
+  bool done = false;  ///< all tasks terminal
+};
+
 /// The Status component of Fig. 1: "while the computation is running, the
 /// Status component polls the Executor node to monitor its progress".
 ///
-/// In this in-process realization the executors push their state
-/// transitions here and clients poll (or block on) the recorded states.
+/// Holds one record per comparison: its tasks' states by position,
+/// terminal/completed/failed/cancelled counters kept at each transition,
+/// the `TaskSpec`s, and the shared cancel flag. Executors push their task
+/// transitions here and clients poll (or block on) the record. A task id
+/// is `"<comparison-id>/<index>"`; this class alone formats and parses it.
 /// Thread-safe.
 class StatusService {
  public:
-  StatusService() = default;
+  /// `uuid_seed` seeds the comparison-id generator (0 draws from
+  /// `std::random_device`; any other value gives a fixed sequence).
+  explicit StatusService(uint64_t uuid_seed = 0) : uuid_(uuid_seed) {}
   StatusService(const StatusService&) = delete;
   StatusService& operator=(const StatusService&) = delete;
 
-  /// Registers a task in `kPending` state; fails on duplicate ids.
-  Status Track(const std::string& task_id) CYR_EXCLUDES(mu_);
+  /// What `Track` hands the dispatcher.
+  struct Tracked {
+    std::string comparison_id;
+    std::vector<std::string> task_ids;  ///< in request order
+    std::shared_ptr<std::atomic<bool>> cancelled;
+  };
+
+  /// Mints a comparison id and records one `kPending` task per spec, in
+  /// one step. Fails only if the minted id is already tracked.
+  Result<Tracked> Track(std::vector<TaskSpec> specs) CYR_EXCLUDES(mu_);
+
+  /// Drops a comparison's record (a submission rolled back with nothing
+  /// enqueued); its id answers NotFound afterwards.
+  void Erase(const std::string& comparison_id) CYR_EXCLUDES(mu_);
 
   /// Records a state transition. Transitions out of a terminal state are
   /// rejected (FailedPrecondition) — a cancelled task cannot complete.
@@ -39,26 +70,31 @@ class StatusService {
   Result<TaskState> GetState(const std::string& task_id) const
       CYR_EXCLUDES(mu_);
 
-  /// States of several tasks at once (one poll, one lock).
-  Result<std::vector<TaskState>> GetStates(
-      const std::vector<std::string>& task_ids) const CYR_EXCLUDES(mu_);
+  /// A snapshot of the comparison's record. `specs`, when given, receives
+  /// the tasks' specs in task order.
+  Result<ComparisonStatus> GetStatus(const std::string& comparison_id,
+                                     std::vector<TaskSpec>* specs = nullptr)
+      const CYR_EXCLUDES(mu_);
 
-  /// Blocks until every listed task reaches a terminal state.
+  /// Raises the comparison's cancel flag; tasks not yet started skip.
+  Status Cancel(const std::string& comparison_id) CYR_EXCLUDES(mu_);
+
+  /// Blocks until every task of the comparison is terminal.
   /// `timeout_seconds == 0` blocks indefinitely; a positive value bounds
   /// the wait and the call returns false on timeout. Negative timeouts are
-  /// rejected as InvalidArgument — before, any `<= 0` value silently meant
-  /// "wait forever", turning a caller's sign bug into an infinite hang.
-  Result<bool> WaitUntilTerminal(const std::vector<std::string>& task_ids,
-                                 double timeout_seconds = 0.0) const
+  /// rejected as InvalidArgument, so a caller's sign bug fails fast
+  /// instead of hanging.
+  Result<bool> WaitUntilDone(const std::string& comparison_id,
+                             double timeout_seconds = 0.0) const
       CYR_EXCLUDES(mu_);
 
-  /// Number of tracked tasks.
+  /// Number of tracked comparisons.
   size_t size() const CYR_EXCLUDES(mu_);
 
-  /// Callback fired when a tracked task *enters* a terminal state (the
-  /// push counterpart of `WaitUntilTerminal`'s poll). Invoked after the
-  /// state map is updated and `mu_` released, on whichever thread drove
-  /// the transition.
+  /// Callback fired once per comparison, with its id, when its last task
+  /// turns terminal (the push counterpart of `WaitUntilDone`). Invoked
+  /// after the record is updated and `mu_` released, on whichever thread
+  /// drove that last transition.
   ///
   /// Locking contract (restrictive by design): the executing thread may
   /// already hold locks up to `kSchedulerMu` — on the pool-refused
@@ -69,7 +105,7 @@ class StatusService {
   /// (see `net::NetServer`). Calling back into the gateway or this
   /// service from a listener deadlocks or aborts the rank checker.
   using TerminalListener =
-      std::function<void(const std::string& task_id, TaskState state)>;
+      std::function<void(const std::string& comparison_id)>;
 
   /// Registers `listener`; returns a token for `RemoveTerminalListener`.
   uint64_t AddTerminalListener(TerminalListener listener) CYR_EXCLUDES(mu_);
@@ -81,9 +117,22 @@ class StatusService {
   void RemoveTerminalListener(uint64_t token) CYR_EXCLUDES(mu_);
 
  private:
+  struct Record {
+    std::vector<TaskState> states;  ///< by task position
+    std::vector<TaskSpec> specs;    ///< parallel to states
+    size_t terminal = 0;
+    size_t completed = 0;
+    size_t failed = 0;
+    size_t cancelled = 0;
+    std::shared_ptr<std::atomic<bool>> cancel;
+
+    bool done() const { return terminal == states.size(); }
+  };
+
   mutable Mutex mu_{lock_rank::kStatusServiceMu, "StatusService::mu_"};
-  mutable CondVar changed_;
-  std::map<std::string, TaskState> states_ CYR_GUARDED_BY(mu_);
+  mutable CondVar finished_;
+  UuidGenerator uuid_ CYR_GUARDED_BY(mu_);
+  std::map<std::string, Record, std::less<>> records_ CYR_GUARDED_BY(mu_);
   std::map<uint64_t, TerminalListener> listeners_ CYR_GUARDED_BY(mu_);
   uint64_t next_listener_token_ CYR_GUARDED_BY(mu_) = 1;
 };

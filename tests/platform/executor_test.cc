@@ -1,6 +1,7 @@
 #include "platform/executor.h"
 
 #include <atomic>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -30,82 +31,87 @@ class ExecutorTest : public ::testing::Test {
     return spec;
   }
 
+  /// The id of the one task of a freshly tracked comparison.
+  std::string Track() {
+    return status_.Track({TaskSpec{}}).value().task_ids[0];
+  }
+
   Datastore store_;
   StatusService status_;
   Executor executor_;
 };
 
 TEST_F(ExecutorTest, CompletesSuccessfulTask) {
-  ASSERT_TRUE(status_.Track("t1").ok());
-  executor_.Execute("t1", Spec("pagerank", "alpha=0.85"));
-  EXPECT_EQ(status_.GetState("t1").value(), TaskState::kCompleted);
-  const TaskResult result = store_.GetResult("t1").value();
+  const std::string task = Track();
+  executor_.Execute(task, Spec("pagerank", "alpha=0.85"));
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kCompleted);
+  const TaskResult result = store_.GetResult(task).value();
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.ranking.size(), 3u);
   EXPECT_GT(result.seconds, 0.0);
 }
 
 TEST_F(ExecutorTest, WritesLogLines) {
-  ASSERT_TRUE(status_.Track("t1").ok());
-  executor_.Execute("t1", Spec("cyclerank", "source=a, k=3"));
-  const auto log = store_.GetLog("t1");
+  const std::string task = Track();
+  executor_.Execute(task, Spec("cyclerank", "source=a, k=3"));
+  const auto log = store_.GetLog(task);
   ASSERT_GE(log.size(), 3u);
   EXPECT_NE(log.front().find("task accepted"), std::string::npos);
   EXPECT_NE(log.back().find("completed"), std::string::npos);
 }
 
 TEST_F(ExecutorTest, MissingDatasetFailsTask) {
-  ASSERT_TRUE(status_.Track("t").ok());
+  const std::string task = Track();
   TaskSpec spec = Spec("pagerank", "");
   spec.dataset = "ghost";
-  executor_.Execute("t", spec);
-  EXPECT_EQ(status_.GetState("t").value(), TaskState::kFailed);
-  const TaskResult result = store_.GetResult("t").value();
+  executor_.Execute(task, spec);
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kFailed);
+  const TaskResult result = store_.GetResult(task).value();
   EXPECT_EQ(result.status.code(), StatusCode::kNotFound);
   EXPECT_TRUE(result.ranking.empty());
 }
 
 TEST_F(ExecutorTest, UnknownAlgorithmFailsTask) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("hits", ""));
-  EXPECT_EQ(status_.GetState("t").value(), TaskState::kFailed);
+  const std::string task = Track();
+  executor_.Execute(task, Spec("hits", ""));
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kFailed);
 }
 
 TEST_F(ExecutorTest, MissingReferenceFailsPersonalizedTask) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("cyclerank", "k=3"));  // no source=
-  EXPECT_EQ(status_.GetState("t").value(), TaskState::kFailed);
-  EXPECT_EQ(store_.GetResult("t").value().status.code(),
+  const std::string task = Track();
+  executor_.Execute(task, Spec("cyclerank", "k=3"));  // no source=
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kFailed);
+  EXPECT_EQ(store_.GetResult(task).value().status.code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(ExecutorTest, BadParameterValueFailsTask) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("pagerank", "alpha=2.0"));
-  EXPECT_EQ(status_.GetState("t").value(), TaskState::kFailed);
+  const std::string task = Track();
+  executor_.Execute(task, Spec("pagerank", "alpha=2.0"));
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kFailed);
 }
 
 TEST_F(ExecutorTest, CancellationBeforeStart) {
-  ASSERT_TRUE(status_.Track("t").ok());
+  const std::string task = Track();
   std::atomic<bool> cancelled{true};
-  executor_.Execute("t", Spec("pagerank", ""), &cancelled);
-  EXPECT_EQ(status_.GetState("t").value(), TaskState::kCancelled);
-  EXPECT_EQ(store_.GetResult("t").value().status.code(),
+  executor_.Execute(task, Spec("pagerank", ""), &cancelled);
+  EXPECT_EQ(status_.GetState(task).value(), TaskState::kCancelled);
+  EXPECT_EQ(store_.GetResult(task).value().status.code(),
             StatusCode::kCancelled);
 }
 
 TEST_F(ExecutorTest, TopKParameterLimitsRanking) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("pagerank", "top_k=2"));
-  EXPECT_EQ(store_.GetResult("t").value().ranking.size(), 2u);
+  const std::string task = Track();
+  executor_.Execute(task, Spec("pagerank", "top_k=2"));
+  EXPECT_EQ(store_.GetResult(task).value().ranking.size(), 2u);
 }
 
 TEST_F(ExecutorTest, LogsPinnedSnapshotWithByteFootprint) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("pagerank", ""));
+  const std::string task = Track();
+  executor_.Execute(task, Spec("pagerank", ""));
   const GraphPtr g = store_.GetDataset("tiny").value();
   bool found = false;
-  for (const std::string& line : store_.GetLog("t")) {
+  for (const std::string& line : store_.GetLog(task)) {
     if (line.find("pinned dataset snapshot 'tiny' (" +
                   std::to_string(g->MemoryBytes()) + " bytes)") !=
         std::string::npos) {
@@ -128,26 +134,26 @@ TEST_F(ExecutorTest, DefaultThreadsAppliesOnlyWhenSpecIsSilent) {
   };
 
   // No threads= in the spec: the deployment default applies.
-  ASSERT_TRUE(status_.Track("silent").ok());
-  executor.Execute("silent", Spec("pagerank", "alpha=0.85"));
-  EXPECT_NE(thread_log_line("silent").find("3 kernel thread(s)"),
+  const std::string silent = Track();
+  executor.Execute(silent, Spec("pagerank", "alpha=0.85"));
+  EXPECT_NE(thread_log_line(silent).find("3 kernel thread(s)"),
             std::string::npos);
 
   // An explicit threads= always wins over the default.
-  ASSERT_TRUE(status_.Track("explicit").ok());
-  executor.Execute("explicit", Spec("pagerank", "alpha=0.85, threads=2"));
-  EXPECT_NE(thread_log_line("explicit").find("2 kernel thread(s)"),
+  const std::string explicit_task = Track();
+  executor.Execute(explicit_task, Spec("pagerank", "alpha=0.85, threads=2"));
+  EXPECT_NE(thread_log_line(explicit_task).find("2 kernel thread(s)"),
             std::string::npos);
 
   // The ranking is bit-identical either way (threads are execution-only).
-  EXPECT_EQ(store_.GetResult("silent").value().ranking,
-            store_.GetResult("explicit").value().ranking);
+  EXPECT_EQ(store_.GetResult(silent).value().ranking,
+            store_.GetResult(explicit_task).value().ranking);
 }
 
 TEST_F(ExecutorTest, ResultRankingMatchesDirectRun) {
-  ASSERT_TRUE(status_.Track("t").ok());
-  executor_.Execute("t", Spec("cyclerank", "source=a, k=3"));
-  const TaskResult result = store_.GetResult("t").value();
+  const std::string task = Track();
+  executor_.Execute(task, Spec("cyclerank", "source=a, k=3"));
+  const TaskResult result = store_.GetResult(task).value();
 
   const GraphPtr g = store_.GetDataset("tiny").value();
   const auto algorithm = MakeAlgorithm(AlgorithmKind::kCycleRank);

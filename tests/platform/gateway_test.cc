@@ -149,42 +149,21 @@ TEST_F(GatewayTest, BadAlgorithmMidSetRejectedWithoutSideEffects) {
   ASSERT_TRUE(*gateway_.WaitForCompletion(id, 30.0));
 }
 
-TEST_F(GatewayTest, PartialTrackFailureRollsBackInsteadOfHanging) {
-  // Predict the gateway's next comparison id (deterministic uuid_seed) and
-  // occupy one of its task ids, so Track fails mid-loop inside
-  // SubmitQuerySet after task 0 was already tracked.
-  UuidGenerator twin(123);
-  const std::string next = twin.Generate();
-  ASSERT_TRUE(gateway_.status_service().Track(next + "/1").ok());
-
-  const auto submitted = gateway_.SubmitQuerySet(MakeQuerySet());
-  ASSERT_FALSE(submitted.ok());
-  EXPECT_EQ(submitted.status().code(), StatusCode::kAlreadyExists);
-  // Nothing was enqueued, so the comparison was erased, and the tracked
-  // task 0 was rolled back to a terminal kFailed with a stored result —
-  // before the fix it sat kPending forever and WaitForCompletion hung.
-  EXPECT_EQ(gateway_.GetStatus(next).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(gateway_.status_service().GetState(next + "/0").value(),
-            TaskState::kFailed);
-  const TaskResult rolled_back = store_.GetResult(next + "/0").value();
-  EXPECT_EQ(rolled_back.status.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(rolled_back.spec, MakeQuerySet().tasks[0]);
-}
-
 TEST_F(GatewayTest, SubmitAfterShutdownFailsWithoutStuckTasks) {
   UuidGenerator twin(123);
   const std::string next = twin.Generate();
   gateway_.Shutdown();
   const auto submitted = gateway_.SubmitQuerySet(MakeQuerySet());
   EXPECT_EQ(submitted.status().code(), StatusCode::kFailedPrecondition);
-  // Enqueue failed on slot 0, so the comparison was erased and every
-  // tracked task was rolled back to terminal kFailed — nothing can hang.
+  // Enqueue failed on the first task, so the comparison was erased and
+  // every task was rolled back to kFailed with a stored result carrying
+  // the submission error — nothing can hang.
   EXPECT_EQ(gateway_.GetStatus(next).status().code(), StatusCode::kNotFound);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(gateway_.status_service()
-                  .GetState(next + "/" + std::to_string(i))
-                  .value(),
-              TaskState::kFailed);
+    const TaskResult rolled_back =
+        store_.GetResult(next + "/" + std::to_string(i)).value();
+    EXPECT_EQ(rolled_back.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(rolled_back.spec, MakeQuerySet().tasks[i]);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mutex.h"
 #include "graph/graph_builder.h"
 #include "platform/gateway.h"
 #include "storage_test_util.h"
@@ -824,26 +826,77 @@ TEST(StressTest, ResultBeingDemotedIsNeverReportedExpired) {
   }
 }
 
-TEST(StressTest, StatusServiceConcurrentTransitions) {
-  StatusService status;
-  constexpr int kTasks = 200;
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(status.Track("t" + std::to_string(i)).ok());
-  }
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&status, t] {
-      for (int i = t; i < kTasks; i += 4) {
-        const std::string id = "t" + std::to_string(i);
-        (void)status.SetState(id, TaskState::kRunning);
-        (void)status.SetState(id, TaskState::kCompleted);
+TEST(StressTest, ConcurrentComparisonsFireTheListenerOnceEach) {
+  // Four submitters race 25 comparisons of 6 tasks each through one
+  // gateway; odd seeds fail and every fifth comparison is cancelled at
+  // once. Each comparison's record must fire the terminal listener exactly
+  // once, and every snapshot's counters must match its own states.
+  constexpr int kSubmitters = 4;
+  constexpr int kComparisons = 25;
+  constexpr int kTasks = 6;
+  AlgorithmRegistry registry;
+  ASSERT_TRUE(registry.Register(std::make_shared<FlakyAlgorithm>()).ok());
+  Datastore store(nullptr);
+  ASSERT_TRUE(store.PutDataset("g", TinyGraph()).ok());
+  ApiGateway gateway(&store, &registry, PlatformOptions::WithWorkers(4, 31));
+
+  // Unranked: the listener may run under the scheduler's lock.
+  Mutex calls_mu;
+  std::map<std::string, int> calls;
+  gateway.AddTerminalListener([&](const std::string& comparison_id) {
+    MutexLock lock(calls_mu);
+    ++calls[comparison_id];
+  });
+
+  std::vector<std::vector<std::string>> ids(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&gateway, &ids, t] {
+      for (int c = 0; c < kComparisons; ++c) {
+        TaskBuilder builder;
+        for (int i = 0; i < kTasks; ++i) {
+          const int seed = (t * kComparisons + c) * kTasks + i;
+          EXPECT_TRUE(
+              builder.Add("g", "flaky", "seed=" + std::to_string(seed)).ok());
+        }
+        auto id = gateway.SubmitQuerySet(builder.Build());
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        if (c % 5 == 0) {
+          EXPECT_TRUE(gateway.Cancel(*id).ok());
+        }
+        ids[t].push_back(*id);
       }
     });
   }
-  std::vector<std::string> all;
-  for (int i = 0; i < kTasks; ++i) all.push_back("t" + std::to_string(i));
-  for (std::thread& worker : workers) worker.join();
-  ASSERT_TRUE(*status.WaitUntilTerminal(all, 10.0));
+  for (std::thread& submitter : submitters) submitter.join();
+
+  for (const std::vector<std::string>& thread_ids : ids) {
+    for (const std::string& id : thread_ids) {
+      EXPECT_TRUE(*gateway.WaitForCompletion(id, 60.0)) << id;
+      const ComparisonStatus status = gateway.GetStatus(id).value();
+      size_t completed = 0;
+      size_t failed = 0;
+      size_t cancelled = 0;
+      for (TaskState state : status.states) {
+        completed += state == TaskState::kCompleted;
+        failed += state == TaskState::kFailed;
+        cancelled += state == TaskState::kCancelled;
+      }
+      EXPECT_TRUE(status.done) << id;
+      EXPECT_EQ(completed + failed + cancelled, size_t{kTasks}) << id;
+      EXPECT_EQ(status.completed, completed) << id;
+      EXPECT_EQ(status.failed, failed) << id;
+      EXPECT_EQ(status.cancelled, cancelled) << id;
+    }
+  }
+  // A waiter may wake before the listener runs on the finishing thread;
+  // draining the scheduler lets every in-flight call return.
+  gateway.Shutdown();
+  MutexLock lock(calls_mu);
+  EXPECT_EQ(calls.size(), size_t{kSubmitters * kComparisons});
+  for (const auto& [comparison_id, count] : calls) {
+    EXPECT_EQ(count, 1) << comparison_id;
+  }
 }
 
 }  // namespace
